@@ -31,7 +31,6 @@ from .ampcore import (
 )
 from .calfit import (
     FitResult,
-    Trace,
     fit_bias_sweep,
     fit_gain_profile,
     fit_lorentzian,
@@ -92,6 +91,7 @@ from .params import (
     NoiseChain,
     PumpConfig,
     ResonatorParams,
+    Trace,
     angular_to_hz,
     hz_to_angular,
 )

@@ -21,6 +21,7 @@ from .params import (
     KineticFilm,
     PumpConfig,
     ResonatorParams,
+    Trace,
     angular_to_hz,
     power_db,
 )
@@ -676,7 +677,7 @@ def gain_bandwidth_product(spectrum: ComplexSpectrum) -> GainBandwidth:
     """
     from . import calfit  # deferred: calfit builds its models on this module
 
-    trace = calfit.Trace(
+    trace = Trace(
         x=angular_to_hz(spectrum.freqs), y=spectrum.power_db, kind="gain_db"
     )
     fit = calfit.fit_lorentzian(trace)

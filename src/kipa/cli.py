@@ -135,7 +135,11 @@ def _print_record(args, outputs, warnings=()) -> None:
         if not key.startswith("_") and key != "func" and value is not None
     }
     record = datio.make_record(args._command, inputs, outputs, warnings)
-    sys.stdout.write(datio.record_to_json(record))
+    try:
+        text = datio.record_to_json(record)
+    except ValueError as exc:  # NaN or infinity: a numeric failure, not bad input
+        raise NonPhysical(f"non-finite output: {exc}") from exc
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------

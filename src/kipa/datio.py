@@ -21,15 +21,16 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
-from .calfit import Trace
 from .errors import ParseError, SchemaMismatch, UnitError
 from .params import (
     CoupledSystem,
     KineticFilm,
     PumpConfig,
     ResonatorParams,
+    Trace,
     hz_to_angular,
 )
 
@@ -78,6 +79,8 @@ def load_trace(path, kind: str) -> Trace:
             values = [float(part) for part in parts]
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"non-finite value in row {line!r}", line=lineno)
         xs.append(values[0])
         ys.append(complex(values[1], values[2]) if kind == "reflection" else values[1])
     if not xs:
@@ -169,15 +172,28 @@ def _require(obj: dict, keys, context: str) -> None:
             raise ParseError(f"{context}: missing required field {key!r}")
 
 
+def _number(obj: dict, key: str, context: str) -> float:
+    """``obj[key]`` as a finite float."""
+    try:
+        value = float(obj[key])
+    except (TypeError, ValueError):
+        raise ParseError(
+            f"{context}.{key}: must be a number, got {obj[key]!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{context}.{key}: must be finite, got {value!r}")
+    return value
+
+
 def _resonator(obj: dict, context: str) -> ResonatorParams:
     if not isinstance(obj, dict):
         raise ParseError(f"{context}: must be an object")
     _reject_unknown(obj, _RESONATOR_KEYS, context)
     _require(obj, _RESONATOR_KEYS, context)
     return ResonatorParams(
-        omega0=hz_to_angular(float(obj["f0_hz"])),
-        kappa_e=hz_to_angular(float(obj["kappa_e_hz"])),
-        kappa_i=hz_to_angular(float(obj["kappa_i_hz"])),
+        omega0=hz_to_angular(_number(obj, "f0_hz", context)),
+        kappa_e=hz_to_angular(_number(obj, "kappa_e_hz", context)),
+        kappa_i=hz_to_angular(_number(obj, "kappa_i_hz", context)),
     )
 
 
@@ -199,10 +215,10 @@ def load_config(path) -> DeviceConfig:
     _reject_unknown(film_obj, _FILM_REQUIRED + _FILM_OPTIONAL, "config.film")
     _require(film_obj, _FILM_REQUIRED, "config.film")
     film = KineticFilm(
-        L0=float(film_obj["l0_h"]),
-        I_star=float(film_obj["i_star_a"]),
+        L0=_number(film_obj, "l0_h", "config.film"),
+        I_star=_number(film_obj, "i_star_a", "config.film"),
         L_sheet=(
-            float(film_obj["l_sheet_h_per_sq"])
+            _number(film_obj, "l_sheet_h_per_sq", "config.film")
             if "l_sheet_h_per_sq" in film_obj else None
         ),
     )
@@ -220,19 +236,19 @@ def load_config(path) -> DeviceConfig:
         raise ParseError("config.pump.drive: must be an object")
     if set(drive) == {"g_hz"}:
         pump = PumpConfig(
-            omega_p=hz_to_angular(float(pump_obj["f_p_hz"])),
-            phi_p=float(pump_obj["phi_p_rad"]),
-            I_dc=float(pump_obj["i_dc_a"]),
-            g=hz_to_angular(float(drive["g_hz"])),
+            omega_p=hz_to_angular(_number(pump_obj, "f_p_hz", "config.pump")),
+            phi_p=_number(pump_obj, "phi_p_rad", "config.pump"),
+            I_dc=_number(pump_obj, "i_dc_a", "config.pump"),
+            g=hz_to_angular(_number(drive, "g_hz", "config.pump.drive")),
         )
     elif set(drive) == {"p_p_w", "z_ref_ohm", "cal"}:
         pump = PumpConfig(
-            omega_p=hz_to_angular(float(pump_obj["f_p_hz"])),
-            phi_p=float(pump_obj["phi_p_rad"]),
-            I_dc=float(pump_obj["i_dc_a"]),
-            P_p=float(drive["p_p_w"]),
-            Z_ref=float(drive["z_ref_ohm"]),
-            cal=float(drive["cal"]),
+            omega_p=hz_to_angular(_number(pump_obj, "f_p_hz", "config.pump")),
+            phi_p=_number(pump_obj, "phi_p_rad", "config.pump"),
+            I_dc=_number(pump_obj, "i_dc_a", "config.pump"),
+            P_p=_number(drive, "p_p_w", "config.pump.drive"),
+            Z_ref=_number(drive, "z_ref_ohm", "config.pump.drive"),
+            cal=_number(drive, "cal", "config.pump.drive"),
         )
     else:
         _reject_unknown(drive, ("g_hz", "p_p_w", "z_ref_ohm", "cal"),
@@ -260,7 +276,7 @@ def load_config(path) -> DeviceConfig:
         film=film,
         ring=ring,
         auxiliary=auxiliary,
-        J=hz_to_angular(float(doc["j_hz"])),
+        J=hz_to_angular(_number(doc, "j_hz", "config")),
         pump=pump,
         hybridization_form=form,
     )
@@ -320,14 +336,18 @@ def make_record(operation: str, inputs: dict, outputs: dict, warnings=()) -> Res
 
 
 def record_to_json(record: ResultRecord) -> str:
-    """Deterministic JSON rendering (sorted keys, two-space indent)."""
+    """Deterministic JSON rendering (sorted keys, two-space indent).
+
+    Raises ValueError on a NaN or infinite value, which RFC 8259 JSON
+    cannot represent.
+    """
     doc = {
         "operation": record.operation,
         "inputs_digest": record.inputs_digest,
         "outputs": record.outputs,
         "warnings": list(record.warnings),
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_result(record: ResultRecord, path_or_stream) -> None:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import hbar, k as k_B
-
+from .constants import hbar, k_B
 from .errors import NonPhysical
 from .params import NoiseChain
 

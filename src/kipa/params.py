@@ -197,6 +197,45 @@ class ComplexSpectrum:
         return power_db(self.power)
 
 
+TRACE_KINDS = ("reflection", "gain_db", "noise_psd", "bias_shift")
+
+
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """Measurement trace: x strictly increasing, y kind-consistent.
+
+    kind=reflection: x frequency [Hz], y complex reflection.
+    kind=gain_db:    x frequency [Hz], y power gain [dB].
+    kind=noise_psd:  x temperature [K], y noise density [W/Hz].
+    kind=bias_shift: x bias current [A], y resonance frequency [Hz].
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    kind: str
+
+    def __post_init__(self):
+        if self.kind not in TRACE_KINDS:
+            raise ValueError(f"unknown trace kind {self.kind!r}")
+        # own copies: marking views read-only would freeze caller arrays
+        x = np.array(self.x, dtype=float)
+        if self.kind != "reflection" and np.iscomplexobj(np.asarray(self.y)):
+            raise ValueError(f"kind={self.kind} requires real y values")
+        dtype = complex if self.kind == "reflection" else float
+        y = np.array(self.y, dtype=dtype)
+        if x.ndim != 1 or y.ndim != 1 or len(x) != len(y):
+            raise ValueError("x and y must be 1-d arrays of equal length")
+        if len(x) > 1 and not np.all(np.diff(x) > 0):
+            raise ValueError("x must be strictly increasing")
+        x.setflags(write=False)
+        y.setflags(write=False)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+
 @dataclass(frozen=True)
 class NoiseChain:
     """Amplification chain: parametric stage followed by a classical chain.

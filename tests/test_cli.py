@@ -186,6 +186,28 @@ class TestStabilityAndNoise:
         assert outputs["n_add"]["value"] == pytest.approx(0.661, abs=1e-3)
         assert outputs["n_k"]["unit"] == "quanta"
 
+    def test_non_finite_config_is_validation_error(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(DEVICE))
+        doc["j_hz"] = math.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["stability", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "j_hz" in err
+
+    def test_non_finite_output_is_numeric_error(self, capsys, monkeypatch):
+        from kipa import noise
+
+        monkeypatch.setattr(noise, "total_noise_psd", lambda chain, T: math.nan)
+        code, out, err = run_cli(capsys, [
+            "noise", "--f-hz", "7.155e9", "--eta", "0.9", "--g-k", "1000",
+            "--g-h", "1e6", "--n-h", "10", "--t-k", "0.1", "--t-dev-k", "0.1",
+        ])
+        assert code == 3
+        assert out == ""
+        assert "non-finite" in err
+
     def test_noise_validation_error(self, capsys):
         code, _, err = run_cli(capsys, [
             "noise", "--f-hz", "7.155e9", "--eta", "0.0", "--g-k", "1000",
@@ -216,6 +238,18 @@ class TestFitCommands:
         code, _, err = run_cli(capsys, ["fit-resonance", "missing.csv"])
         assert code == 2
         assert err.startswith("kipa:")
+
+    def test_non_finite_trace_row_is_validation_error(self, capsys, tmp_path):
+        f = np.linspace(7.0e9, 7.3e9, 101)
+        path = tmp_path / "gain.csv"
+        save_trace(Trace(x=f, y=np.zeros(101), kind="gain_db"), path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[50] = lines[50].split(",")[0] + ",inf"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["fit-gain", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "line 51" in err
 
     def test_fit_bias_round_trip(self, capsys, tmp_path):
         currents = np.linspace(0.1e-3, 3e-3, 21)

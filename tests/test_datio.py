@@ -81,6 +81,18 @@ class TestTraceIO:
             load_trace(path, "gain_db")
         assert err.value.line == 4
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_value_reports_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"# kind=gain_db\nfreq_hz,gain_db\n7.0e9,1.0\n7.1e9,{cell}\n"
+            "7.2e9,2.0\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as err:
+            load_trace(path, "gain_db")
+        assert err.value.line == 4
+
     def test_wrong_column_count_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -185,6 +197,26 @@ class TestConfig:
         with pytest.raises(ParseError):
             load_config(write_config(tmp_path, doc))
 
+    @pytest.mark.parametrize("block,key,value", [
+        (None, "j_hz", math.nan),
+        ("ring", "f0_hz", math.inf),
+        ("film", "i_star_a", -math.inf),
+        ("auxiliary", "kappa_i_hz", "nan"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, block, key, value):
+        doc = json.loads(json.dumps(GOOD_CONFIG))
+        (doc if block is None else doc[block])[key] = value
+        with pytest.raises(ParseError) as err:
+            load_config(write_config(tmp_path, doc))
+        assert key in str(err.value)
+
+    def test_non_number_rejected(self, tmp_path):
+        doc = json.loads(json.dumps(GOOD_CONFIG))
+        doc["pump"]["drive"]["cal"] = None
+        with pytest.raises(ParseError) as err:
+            load_config(write_config(tmp_path, doc))
+        assert "config.pump.drive.cal" in str(err.value)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -246,6 +278,12 @@ class TestResultRecords:
         text = record_to_json(record)
         assert text == record_to_json(record)
         assert text.index('"a"') < text.index('"z"')
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, [1.0, -math.inf]])
+    def test_non_finite_output_refused(self, value):
+        record = make_record("x", {}, {"y": (value, "Hz")})
+        with pytest.raises(ValueError):
+            record_to_json(record)
 
     def test_read_result_missing_field(self, tmp_path):
         path = tmp_path / "broken.json"
