@@ -8,6 +8,7 @@ Reported gains are power gains; dB means 10*log10.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -120,6 +121,27 @@ def stability_double(system: CoupledSystem, g: float) -> DoubleModeStability:
     )
 
 
+def _require_stable(stab, g: float) -> None:
+    """Raise UnstableRegime when g is at or above the threshold of ``stab``
+    (a SingleModeStability or DoubleModeStability): the closed forms then
+    describe self-oscillation, not amplification."""
+    if stab.stable:
+        return
+    where = ("oscillation threshold kappa/2=" if isinstance(stab, SingleModeStability)
+             else "coupled-system threshold ")
+    raise UnstableRegime(
+        f"g={g:g} rad/s is at or above the {where}{stab.threshold:g} rad/s"
+    )
+
+
+def _require_no_pole(den, scale, w, what: str) -> None:
+    """Raise PoleAtFrequency at the first grid point where the gain
+    denominator vanishes relative to its scale."""
+    pole = np.abs(den) <= _POLE_RTOL * scale
+    if np.any(pole):
+        raise PoleAtFrequency(f"{what} pole at omega={w[pole][0]:g} rad/s")
+
+
 # ---------------------------------------------------------------------------
 # Single-mode response
 # ---------------------------------------------------------------------------
@@ -193,19 +215,12 @@ def single_mode_gain(
         threshold and the closed forms describe self-oscillation,
         not amplification.
     """
-    stab = stability_single(res, g)
-    if not stab.stable:
-        raise UnstableRegime(
-            f"g={g:g} rad/s is at or above the oscillation threshold "
-            f"kappa/2={stab.threshold:g} rad/s"
-        )
+    _require_stable(stability_single(res, g), g)
     w = np.asarray(omega_grid, dtype=float)
     k = res.kappa
     den = _single_mode_denominator(res, g, delta, w)
     scale = delta**2 + g**2 + (k / 2.0) ** 2 + w**2
-    if np.any(np.abs(den) <= _POLE_RTOL * scale):
-        bad = w[np.abs(den) <= _POLE_RTOL * scale][0]
-        raise PoleAtFrequency(f"gain pole at omega={bad:g} rad/s")
+    _require_no_pole(den, scale, w, "gain")
     signal = res.eta * k * (k / 2.0 - 1j * (w + delta)) / den - 1.0
     idler = -1j * res.eta * k * g * np.exp(1j * phi_p) / den
     return ComplexSpectrum(w, signal), ComplexSpectrum(w, idler)
@@ -218,12 +233,7 @@ def on_resonance_gain(res: ResonatorParams, g: float) -> float:
 
     Strictly increasing in g and divergent as g -> kappa/2.
     """
-    stab = stability_single(res, g)
-    if not stab.stable:
-        raise UnstableRegime(
-            f"g={g:g} rad/s is at or above the oscillation threshold "
-            f"kappa/2={stab.threshold:g} rad/s"
-        )
+    _require_stable(stability_single(res, g), g)
     r2 = (g / res.kappa) ** 2
     return (2.0 / (1.0 - 4.0 * r2) - 1.0) ** 2
 
@@ -238,12 +248,7 @@ def phase_sensitive_gain(res: ResonatorParams, g: float, delta_phi):
     2*pi-periodic with amplification/de-amplification extrema pi apart.
     Accepts a scalar or array of phase differences [rad].
     """
-    stab = stability_single(res, g)
-    if not stab.stable:
-        raise UnstableRegime(
-            f"g={g:g} rad/s is at or above the oscillation threshold "
-            f"kappa/2={stab.threshold:g} rad/s"
-        )
+    _require_stable(stability_single(res, g), g)
     k = res.kappa
     den = (k / 2.0) ** 2 - g**2
     gs0 = res.eta * k * (k / 2.0) / den - 1.0
@@ -350,12 +355,7 @@ def double_mode_gain_hybrid(
     the counter-rotating terms dropped by this model scale as (kappa/2J)^2
     (the bare-mode forms in :func:`double_mode_gain_bare` keep them).
     """
-    stab = stability_double(system, g)
-    if not stab.stable:
-        raise UnstableRegime(
-            f"g={g:g} rad/s is at or above the coupled-system threshold "
-            f"{stab.threshold:g} rad/s"
-        )
+    _require_stable(stability_double(system, g), g)
     kpe, kpi, kme, kmi = _hybrid_rates(system)
     kp, km = kpe + kpi, kme + kmi
     if not 2.0 * system.J > max(kp, km, g):
@@ -383,9 +383,7 @@ def double_mode_gain_hybrid(
         ) - q**2
         scale = (k_self * k_other / 4.0 + q**2
                  + np.abs(w - d_self) * np.abs(w + d_other))
-        if np.any(np.abs(den) <= _POLE_RTOL * scale):
-            bad = w[np.abs(den) <= _POLE_RTOL * scale][0]
-            raise PoleAtFrequency(f"hybrid gain pole at omega={bad:g} rad/s")
+        _require_no_pole(den, scale, w, "hybrid gain")
         signal = eta_self * k_self * (k_other / 2.0 - 1j * (w + d_other)) / den - 1.0
         idler = -1j * cross * q * phase / den
         out.append((ComplexSpectrum(w, signal), ComplexSpectrum(w, idler)))
@@ -432,26 +430,13 @@ def double_mode_gain_bare(
     input; the remaining (non-resonant) input channels are not part of
     these factors and are available from the full transfer-matrix solve.
     """
-    stab = stability_double(system, g)
-    if not stab.stable:
-        raise UnstableRegime(
-            f"g={g:g} rad/s is at or above the coupled-system threshold "
-            f"{stab.threshold:g} rad/s"
-        )
+    _require_stable(stability_double(system, g), g)
     a, b = system.mode_a, system.mode_b
     J = system.J
     w = np.asarray(omega_grid, dtype=float)
-    am = a.kappa / 2.0 - 1j * (w - delta_a)
-    ap = a.kappa / 2.0 - 1j * (w + delta_a)
-    bm = b.kappa / 2.0 - 1j * (w - delta_b)
-    bp = b.kappa / 2.0 - 1j * (w + delta_b)
-    upper = ap * bp + J**2
-    lower = am * bm + J**2
-    den = lower * upper - g**2 * bm * bp
+    am, bm, bp, lower, upper, den = _bare_kernel(system, g, delta_a, delta_b, w)
     scale = np.abs(lower) * np.abs(upper) + g**2 * np.abs(bm) * np.abs(bp)
-    if np.any(np.abs(den) <= _POLE_RTOL * scale):
-        bad = w[np.abs(den) <= _POLE_RTOL * scale][0]
-        raise PoleAtFrequency(f"bare gain pole at omega={bad:g} rad/s")
+    _require_no_pole(den, scale, w, "bare gain")
     cross = g * J * np.exp(1j * phi_p) * math.sqrt(a.kappa_e * b.kappa_e)
     signal_a = a.kappa_e * bm * upper / den - 1.0
     idler_a = cross * bm / den
@@ -465,16 +450,36 @@ def double_mode_gain_bare(
     )
 
 
-def _bare_drift(system: CoupledSystem, g: float, delta_a: float,
-                delta_b: float, phi_p: float) -> np.ndarray:
-    """Drift matrix of the bare coupled pair, state [a, b, a+, b+].
+def _bare_kernel(system: CoupledSystem, g: float, delta_a: float,
+                 delta_b: float, w: np.ndarray):
+    """Per-mode factors and common denominator of the bare-mode gains on
+    the grid ``w``: (am, bm, bp, lower, upper, den), see
+    :func:`double_mode_gain_bare`."""
+    a, b = system.mode_a, system.mode_b
+    J = system.J
+    am = a.kappa / 2.0 - 1j * (w - delta_a)
+    ap = a.kappa / 2.0 - 1j * (w + delta_a)
+    bm = b.kappa / 2.0 - 1j * (w - delta_b)
+    bp = b.kappa / 2.0 - 1j * (w + delta_b)
+    upper = ap * bp + J**2
+    lower = am * bm + J**2
+    den = lower * upper - g**2 * bm * bp
+    return am, bm, bp, lower, upper, den
 
-    Used only for eigenvalue stability classification in the pump sweep;
-    gain evaluation goes through the closed forms above.
+
+def bare_drift(system: CoupledSystem, g: float, delta_a: float = 0.0,
+               delta_b: float = 0.0, phi_p: float = 0.0) -> np.ndarray:
+    """Drift matrix of the bare coupled pair, state [a, b, a+, b+]; the
+    parametric drive acts on mode a only.
+
+    The linear equations of motion are dx/dt = drift @ x + inputs. The
+    pump sweep classifies stability by its eigenvalues and the
+    transfer-matrix oracle (:func:`kipa.oracle.double_mode_matrices`)
+    solves with it; gain evaluation goes through the closed forms above.
     """
     a, b = system.mode_a, system.mode_b
     J = system.J
-    gp = 1j * g * np.exp(1j * phi_p)
+    gp = 1j * g * cmath.exp(1j * phi_p)  # a-row coupling is -gp, a+-row is +conj(-gp)
     return np.array(
         [
             [-(1j * delta_a + a.kappa / 2.0), -1j * J, -gp, 0.0],
@@ -610,21 +615,16 @@ def pump_regime_map(
     w_grid = np.linspace(-half_span, half_span, 2001)
 
     pump = np.asarray(pump_grid, dtype=float)
+    deltas = omega_c - pump / 2.0
+    # one stacked eigenvalue solve; the reshape keeps an empty grid (N, 4, 4)
+    drifts = np.array([bare_drift(system, g, d, d) for d in deltas]).reshape(-1, 4, 4)
+    growth = np.linalg.eigvals(drifts).real.max(axis=-1)
     peak_db = np.full(len(pump), np.nan)
-    for i, wp in enumerate(pump):
-        delta = omega_c - wp / 2.0
-        drift = _bare_drift(system, g, delta, delta, 0.0)
-        if np.max(np.linalg.eigvals(drift).real) >= 0.0:
-            continue  # self-oscillating at this pump point
-        a, b = system.mode_a, system.mode_b
-        am = a.kappa / 2.0 - 1j * (w_grid - delta)
-        ap = a.kappa / 2.0 - 1j * (w_grid + delta)
-        bm = b.kappa / 2.0 - 1j * (w_grid - delta)
-        bp = b.kappa / 2.0 - 1j * (w_grid + delta)
-        den = (am * bm + J**2) * (ap * bp + J**2) - g**2 * bm * bp
-        signal_a = a.kappa_e * bm * (ap * bp + J**2) / den - 1.0
-        gains_db = power_db(np.abs(signal_a) ** 2)
-        peak_db[i] = _refined_peak_height(gains_db)
+    kappa_e = system.mode_a.kappa_e
+    for i in np.flatnonzero(~(growth >= 0.0)):  # skip self-oscillating points
+        _, bm, _, _, upper, den = _bare_kernel(system, g, deltas[i], deltas[i], w_grid)
+        signal_a = kappa_e * bm * upper / den - 1.0
+        peak_db[i] = _refined_peak_height(power_db(np.abs(signal_a) ** 2))
 
     finite = np.where(np.isfinite(peak_db))[0]
     if len(finite) == 0:

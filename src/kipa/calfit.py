@@ -28,7 +28,9 @@ from .errors import (
     NoPeak,
     NonPhysical,
     NotConverged,
+    PoleAtFrequency,
     UnstableFit,
+    UnstableRegime,
 )
 from .params import ResonatorParams, Trace, hz_to_angular, power_linear
 
@@ -196,7 +198,7 @@ def _gain_model_db(f_hz, g_hz, kappa_e_hz, kappa_i_hz, f_center):
             res, hz_to_angular(g_hz), 0.0, 0.0,
             hz_to_angular(np.asarray(f_hz) - f_center),
         )
-    except Exception as exc:  # above threshold: infeasible trial point
+    except (UnstableRegime, PoleAtFrequency) as exc:  # infeasible trial point
         raise ValueError(str(exc)) from exc
     return signal.power_db
 

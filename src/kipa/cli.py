@@ -55,28 +55,34 @@ _NUMERIC_ERRORS = (
 )
 
 
-def emit_plot_data(spectrum: ComplexSpectrum, path, x_column: str = "freq_hz") -> None:
-    """Write plot-ready CSV: ``freq_hz,gain_db`` (x converted rad/s -> Hz)
-    or ``phase_rad,gain_db`` (x written as-is) per ``x_column``."""
+def emit_plot_data(x, gain_db, path, x_column: str = "freq_hz") -> None:
+    """Write plot-ready CSV ``<x_column>,gain_db``, x_column being
+    ``freq_hz`` or ``phase_rad``; ``x`` is already in that unit."""
     if x_column not in ("freq_hz", "phase_rad"):
         raise ValueError(f"unknown x column {x_column!r}")
-    xs = angular_to_hz(spectrum.freqs) if x_column == "freq_hz" else spectrum.freqs
     lines = [f"{x_column},gain_db"]
-    for x, gain in zip(xs, spectrum.power_db):
-        lines.append(f"{float(x)!r},{float(gain)!r}")
+    for x_value, gain in zip(x, gain_db):
+        lines.append(f"{float(x_value)!r},{float(gain)!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _positive(text: str) -> float:
+def _finite(text: str) -> float:
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
 
 
 def _fraction(text: str) -> float:
-    value = float(text)
+    value = _finite(text)
     if not 0 <= value < 1:
         raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
     return value
@@ -96,26 +102,17 @@ def _count(text: str) -> int:
     return value
 
 
-def _single_mode_g(args, res) -> float:
-    """Pump rate [rad/s] from --g-hz, --g-over-threshold, or the config pump."""
-    threshold = ampcore.stability_single(res, 0.0).threshold
+def _pump_g(args, threshold, omega0: float) -> float:
+    """Pump rate [rad/s] from --g-hz, from --g-over-threshold as a fraction
+    of ``threshold`` [rad/s], or from the config pump driving a mode at
+    ``omega0``. Single-mode commands pass kappa/2, coupled-pair commands
+    the collective-pair threshold sqrt(kappa_+ kappa_-)."""
     if args.g_hz is not None:
         return hz_to_angular(args.g_hz)
-    if args.g_over_threshold is not None:
+    if getattr(args, "g_over_threshold", None) is not None:
         return args.g_over_threshold * threshold
     cfg = args._config
-    return ampcore.pump_rate(cfg.pump, cfg.film, res.omega0)
-
-
-def _pair_g(args, system) -> float:
-    """Pump rate [rad/s] for coupled-pair commands; the threshold fraction
-    refers to the collective-pair threshold sqrt(kappa_+ kappa_-)/2."""
-    if args.g_hz is not None:
-        return hz_to_angular(args.g_hz)
-    if args.g_over_threshold is not None:
-        return args.g_over_threshold * ampcore.pair_threshold(system)
-    cfg = args._config
-    return ampcore.pump_rate(cfg.pump, cfg.film, system.mode_a.omega0)
+    return ampcore.pump_rate(cfg.pump, cfg.film, omega0)
 
 
 def _anticrossing_system(cfg) -> CoupledSystem:
@@ -149,7 +146,7 @@ def _print_record(args, outputs, warnings=()) -> None:
 def cmd_gain(args) -> int:
     cfg = args._config
     res = cfg.ring
-    g = _single_mode_g(args, res)
+    g = _pump_g(args, ampcore.stability_single(res, 0.0).threshold, res.omega0)
     stab = ampcore.stability_single(res, g)
     half = hz_to_angular(args.span_hz) / 2.0
     grid = np.linspace(-half, half, args.points)
@@ -161,7 +158,7 @@ def cmd_gain(args) -> int:
         res.omega0, cfg.pump.I_dc, cfg.film.I_star
     )
     if args.out:
-        emit_plot_data(signal, args.out)
+        emit_plot_data(angular_to_hz(grid), gain_db, args.out)
     _print_record(args, {
         "g_hz": (angular_to_hz(g), "Hz"),
         "threshold_hz": (angular_to_hz(stab.threshold), "Hz"),
@@ -177,13 +174,12 @@ def cmd_gain(args) -> int:
 def cmd_phase(args) -> int:
     cfg = args._config
     res = cfg.ring
-    g = _single_mode_g(args, res)
+    g = _pump_g(args, ampcore.stability_single(res, 0.0).threshold, res.omega0)
     phases = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False)
     gains = ampcore.phase_sensitive_gain(res, g, phases)
     gains_db = power_db(gains)
     if args.out:
-        sweep = ComplexSpectrum(phases, np.sqrt(gains).astype(complex))
-        emit_plot_data(sweep, args.out, x_column="phase_rad")
+        emit_plot_data(phases, gains_db, args.out, x_column="phase_rad")
     i_max, i_min = int(np.argmax(gains_db)), int(np.argmin(gains_db))
     _print_record(args, {
         "g_hz": (angular_to_hz(g), "Hz"),
@@ -199,7 +195,7 @@ def cmd_phase(args) -> int:
 def cmd_double_gain(args) -> int:
     cfg = args._config
     system = _anticrossing_system(cfg)
-    g = _pair_g(args, system)
+    g = _pump_g(args, ampcore.pair_threshold(system), system.mode_a.omega0)
     if args.span_hz is not None:
         half = hz_to_angular(args.span_hz) / 2.0
     else:
@@ -213,7 +209,7 @@ def cmd_double_gain(args) -> int:
         max(peak_offsets) - min(peak_offsets) if len(peak_offsets) >= 2 else 0.0
     )
     if args.out:
-        emit_plot_data(gains.signal_a, args.out)
+        emit_plot_data(angular_to_hz(grid), gain_db, args.out)
     modes = ampcore.hybridize(system, form=cfg.hybridization_form)
     _print_record(args, {
         "g_hz": (angular_to_hz(g), "Hz"),
@@ -232,7 +228,7 @@ def cmd_double_gain(args) -> int:
 def cmd_regime_map(args) -> int:
     cfg = args._config
     system = _anticrossing_system(cfg)
-    g = _pair_g(args, system)
+    g = _pump_g(args, ampcore.pair_threshold(system), system.mode_a.omega0)
     center = system.mode_a.omega0 + system.mode_b.omega0
     if args.pump_span_hz is not None:
         half = hz_to_angular(args.pump_span_hz) / 2.0
@@ -242,11 +238,8 @@ def cmd_regime_map(args) -> int:
     result = ampcore.pump_regime_map(system, g, pump_grid)
     if args.out:
         finite = np.isfinite(result.peak_gains_db)
-        sweep = ComplexSpectrum(
-            result.pump_freqs[finite],
-            np.sqrt(10.0 ** (result.peak_gains_db[finite] / 10.0)).astype(complex),
-        )
-        emit_plot_data(sweep, args.out)
+        emit_plot_data(angular_to_hz(result.pump_freqs[finite]),
+                       result.peak_gains_db[finite], args.out)
 
     def hz_or_none(value):
         return angular_to_hz(value) if value is not None else None
@@ -264,11 +257,7 @@ def cmd_regime_map(args) -> int:
 
 def cmd_stability(args) -> int:
     cfg = args._config
-    g = (
-        hz_to_angular(args.g_hz)
-        if args.g_hz is not None
-        else ampcore.pump_rate(cfg.pump, cfg.film, cfg.ring.omega0)
-    )
+    g = _pump_g(args, None, cfg.ring.omega0)
     single = ampcore.stability_single(cfg.ring, g)
     system = _anticrossing_system(cfg)
     double = ampcore.stability_double(system, g)
@@ -411,9 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_g(p)
     p.add_argument("--span-hz", type=_positive, default=2e8)
     p.add_argument("--points", type=_points, default=1001)
-    p.add_argument("--delta-hz", type=float, default=0.0,
+    p.add_argument("--delta-hz", type=_finite, default=0.0,
                    help="mode detuning from half the pump, Hz")
-    p.add_argument("--phi-rad", type=float, default=0.0)
+    p.add_argument("--phi-rad", type=_finite, default=0.0)
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(func=cmd_gain)
 
@@ -430,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_g(p)
     p.add_argument("--span-hz", type=_positive, default=None)
     p.add_argument("--points", type=_points, default=2001)
-    p.add_argument("--phi-rad", type=float, default=0.0)
+    p.add_argument("--phi-rad", type=_finite, default=0.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_double_gain)
 
@@ -449,12 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise", help="added-noise quanta and output PSD")
     p.add_argument("--f-hz", type=_positive, required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--g-k", type=float, required=True, help="parametric gain, linear")
-    p.add_argument("--g-h", type=float, required=True, help="chain gain, linear")
-    p.add_argument("--n-h", type=float, required=True, help="chain noise quanta")
-    p.add_argument("--t-k", type=float, required=True, help="input temperature, K")
-    p.add_argument("--t-dev-k", type=float, required=True, help="device temperature, K")
+    p.add_argument("--eta", type=_finite, required=True)
+    p.add_argument("--g-k", type=_finite, required=True, help="parametric gain, linear")
+    p.add_argument("--g-h", type=_finite, required=True, help="chain gain, linear")
+    p.add_argument("--n-h", type=_finite, required=True, help="chain noise quanta")
+    p.add_argument("--t-k", type=_finite, required=True, help="input temperature, K")
+    p.add_argument("--t-dev-k", type=_finite, required=True, help="device temperature, K")
     p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("fit-resonance", help="fit a reflection trace")

@@ -96,17 +96,7 @@ def double_mode_matrices(
     """Matrices of the coupled pair, state [a, b, a+, b+]; the parametric
     drive acts on mode a only."""
     a, b = system.mode_a, system.mode_b
-    J = system.J
-    gp = 1j * g * cmath.exp(1j * phi_p)
-    drift = np.array(
-        [
-            [-(1j * delta_a + a.kappa / 2.0), -1j * J, -gp, 0.0],
-            [-1j * J, -(1j * delta_b + b.kappa / 2.0), 0.0, 0.0],
-            [-np.conj(gp), 0.0, 1j * delta_a - a.kappa / 2.0, 1j * J],
-            [0.0, 0.0, 1j * J, 1j * delta_b - b.kappa / 2.0],
-        ],
-        dtype=complex,
-    )
+    drift = ampcore.bare_drift(system, g, delta_a, delta_b, phi_p)
     sae, sai = math.sqrt(a.kappa_e), math.sqrt(a.kappa_i)
     sbe, sbi = math.sqrt(b.kappa_e), math.sqrt(b.kappa_i)
     B = np.zeros((4, 8), dtype=complex)

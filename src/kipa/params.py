@@ -37,6 +37,15 @@ def power_linear(gain_db):
     return 10.0 ** (np.asarray(gain_db) / 10.0)
 
 
+def _require_finite(obj, *names: str) -> None:
+    """Raise ValueError naming the first of ``names`` whose value on ``obj``
+    is NaN or infinite (None means "not given" and passes)."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ResonatorParams:
     """One resonator mode.
@@ -56,6 +65,7 @@ class ResonatorParams:
     kappa_i: float
 
     def __post_init__(self):
+        _require_finite(self, "omega0", "kappa_e", "kappa_i")
         if not self.omega0 > 0:
             raise ValueError(f"omega0 must be > 0, got {self.omega0!r}")
         if not self.kappa_e > 0:
@@ -93,6 +103,7 @@ class KineticFilm:
     L_sheet: float | None = None
 
     def __post_init__(self):
+        _require_finite(self, "L0", "I_star", "L_sheet")
         if not self.L0 > 0:
             raise ValueError(f"L0 must be > 0, got {self.L0!r}")
         if not self.I_star > 0:
@@ -124,6 +135,7 @@ class PumpConfig:
     cal: float = 1.0        # dimensionless pump-current calibration
 
     def __post_init__(self):
+        _require_finite(self, "omega_p", "phi_p", "I_dc", "g", "P_p", "Z_ref", "cal")
         if not self.omega_p > 0:
             raise ValueError(f"omega_p must be > 0, got {self.omega_p!r}")
         if (self.g is None) == (self.P_p is None):
@@ -151,6 +163,7 @@ class CoupledSystem:
     J: float  # coupling rate [rad/s]
 
     def __post_init__(self):
+        _require_finite(self, "J")
         if self.J < 0:
             raise ValueError(f"J must be >= 0, got {self.J!r}")
 
@@ -267,6 +280,7 @@ class NoiseChain:
     omega: float
 
     def __post_init__(self):
+        _require_finite(self, "G_k", "G_h", "n_h", "eta", "T", "T_dev", "omega")
         if self.G_k < 1:
             raise ValueError(f"G_k must be >= 1, got {self.G_k!r}")
         if self.G_h < 1:

@@ -290,6 +290,39 @@ class TestPumpRegimeMap:
         result = pump_regime_map(system, g, pump)
         assert np.isnan(result.peak_gains_db).sum() > 0
 
+    def test_skipped_points_are_the_unstable_drift_points(self):
+        from kipa.oracle import double_mode_matrices
+
+        system = make_pair(j_over_kappa=10.0)
+        g = 1.05 * system.mode_a.kappa
+        half = 6 * system.J + 6 * system.mode_a.kappa
+        pump = 2 * OMEGA0 + np.linspace(-half, half, 101)
+        result = pump_regime_map(system, g, pump)
+        unstable = [
+            np.linalg.eigvals(double_mode_matrices(system, g, d, d).drift).real.max()
+            >= 0.0
+            for d in OMEGA0 - pump / 2.0
+        ]
+        assert np.isnan(result.peak_gains_db).tolist() == unstable
+
+    def test_peaks_are_refined_bare_gain_peaks(self):
+        from kipa.ampcore import _refined_peak_height
+
+        system, center, result = self.make_map(points=101)
+        g = 0.85 * pair_threshold(system)
+        kappa = system.mode_a.kappa
+        half_span = system.J + 4.0 * kappa + 2.0 * g
+        w = np.linspace(-half_span, half_span, 2001)
+        finite = np.flatnonzero(np.isfinite(result.peak_gains_db))
+        assert len(finite) == 101
+        for i in finite:
+            delta = (system.mode_a.omega0 + system.mode_b.omega0) / 2.0 \
+                - result.pump_freqs[i] / 2.0
+            gains = double_mode_gain_bare(system, g, delta, delta, 0.0, w)
+            assert result.peak_gains_db[i] == _refined_peak_height(
+                gains.signal_a.power_db
+            )
+
     def test_fully_oscillating_grid_rejected(self):
         system = make_pair(j_over_kappa=10.0)
         g = 1.6 * system.mode_a.kappa

@@ -231,6 +231,26 @@ class TestFitGainProfile:
             fit_base.params["g_hz"], rel=1e-6
         )
 
+    def test_above_threshold_trial_point_is_a_value_error(self):
+        from kipa import calfit
+
+        with pytest.raises(ValueError, match="threshold"):
+            calfit._gain_model_db([7.0e9], 20e6, 25e6, 5e6, 7.0e9)  # g > kappa/2
+
+    def test_unrelated_model_error_propagates(self, monkeypatch):
+        from kipa import ampcore, calfit
+
+        trace = gain_trace(7.0e9, 10e6, 25e6, 5e6)
+
+        def broken(*args, **kwargs):
+            raise KeyError("defect inside the model")
+
+        monkeypatch.setattr(ampcore, "single_mode_gain", broken)
+        with pytest.raises(KeyError):
+            calfit._gain_model_db([7.0e9], 10e6, 25e6, 5e6, 7.0e9)
+        with pytest.raises(KeyError):
+            fit_gain_profile(trace)
+
 
 class TestFitNoiseTemperature:
     OMEGA = 2 * math.pi * 7.155e9

@@ -85,6 +85,19 @@ class TestGainCommand:
             main(["gain", "--config", config_path, "--points", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--delta-hz", "nan"), ("--delta-hz", "inf"), ("--delta-hz=-inf", None),
+        ("--phi-rad", "nan"), ("--g-hz", "inf"), ("--g-over-threshold", "nan"),
+        ("--span-hz", "inf"),
+    ])
+    def test_non_finite_flag_is_validation_error(self, config_path, capsys, flag,
+                                                 value):
+        argv = ["gain", "--config", config_path, flag] + ([value] if value else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, ["gain", "--config", "nope.json"])
         assert code == 2
@@ -166,6 +179,31 @@ class TestRegimeMapCommand:
         )
 
 
+    def test_csv_rows_are_the_finite_map_points(self, capsys, double_config_path,
+                                                tmp_path):
+        from kipa import datio, pump_regime_map
+        from kipa.cli import _anticrossing_system
+
+        out_csv = tmp_path / "map.csv"
+        # 8 MHz pushes the anticrossing into self-oscillation: some points drop
+        code, _, _ = run_cli(capsys, [
+            "regime-map", "--config", double_config_path, "--g-hz", "8e6",
+            "--pump-span-hz", "3e8", "--pump-points", "201", "--out", str(out_csv),
+        ])
+        assert code == 0
+        system = _anticrossing_system(datio.load_config(double_config_path))
+        center = system.mode_a.omega0 + system.mode_b.omega0
+        pump = center + np.linspace(-math.pi * 3e8, math.pi * 3e8, 201)
+        result = pump_regime_map(system, 2 * math.pi * 8e6, pump)
+        finite = np.isfinite(result.peak_gains_db)
+        assert 0 < finite.sum() < 201
+        header, rows = read_csv(out_csv)
+        assert header == ["freq_hz", "gain_db"]
+        assert rows[:, 0].tolist() == (result.pump_freqs[finite] / (2 * math.pi)).tolist()
+        np.testing.assert_allclose(rows[:, 1], result.peak_gains_db[finite],
+                                   rtol=1e-13, atol=1e-13)
+
+
 class TestStabilityAndNoise:
     def test_stability_report(self, capsys, config_path):
         code, out, _ = run_cli(capsys, [
@@ -185,6 +223,18 @@ class TestStabilityAndNoise:
         outputs = json.loads(out)["outputs"]
         assert outputs["n_add"]["value"] == pytest.approx(0.661, abs=1e-3)
         assert outputs["n_k"]["unit"] == "quanta"
+
+    @pytest.mark.parametrize("flag", ["--eta", "--g-k", "--g-h", "--n-h", "--t-k",
+                                      "--t-dev-k", "--f-hz"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_noise_rejects_non_finite_flag(self, capsys, flag, value):
+        argv = {"--f-hz": "7.155e9", "--eta": "0.9", "--g-k": "1000", "--g-h": "1e6",
+                "--n-h": "10", "--t-k": "0.1", "--t-dev-k": "0.1"}
+        argv[flag] = value
+        with pytest.raises(SystemExit) as exc:
+            main(["noise", *[item for pair in argv.items() for item in pair]])
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_non_finite_config_is_validation_error(self, capsys, tmp_path):
         doc = json.loads(json.dumps(DEVICE))
@@ -322,17 +372,16 @@ class TestOracleCheckCommand:
 
 class TestEmitPlotData:
     def test_phase_column_layout(self, tmp_path):
-        from kipa import ComplexSpectrum
         from kipa.cli import emit_plot_data
 
-        sweep = ComplexSpectrum([0.0, 1.0, 2.0], [1.0, 2.0, 1.0])
+        phases, gain_db = [0.0, 1.0, 2.0], [0.0, 10 * math.log10(4.0), 0.0]
         path = tmp_path / "sweep.csv"
-        emit_plot_data(sweep, path, x_column="phase_rad")
+        emit_plot_data(phases, gain_db, path, x_column="phase_rad")
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "phase_rad,gain_db"
         assert float(lines[1].split(",")[0]) == 0.0
         with pytest.raises(ValueError):
-            emit_plot_data(sweep, path, x_column="volts")
+            emit_plot_data(phases, gain_db, path, x_column="volts")
 
 
 class TestLogging:

@@ -119,3 +119,31 @@ def test_unit_conversions_exact_round_trip():
     for f in (1.0, 7.155e9, 1e-3, 32.5e6):
         assert angular_to_hz(hz_to_angular(f)) == pytest.approx(f, rel=1e-15)
     assert hz_to_angular(1.0) == 2 * math.pi
+
+
+_RES = dict(omega0=1.0, kappa_e=1.0, kappa_i=0.0)
+_CHAIN = dict(G_k=100.0, G_h=1e6, n_h=10.0, eta=0.9, T=0.1, T_dev=0.1, omega=1.0)
+_NON_FINITE_CASES = [
+    *[(lambda v, f=f: ResonatorParams(**{**_RES, f: v}), f) for f in _RES],
+    (lambda v: KineticFilm(L0=v, I_star=1.0), "L0"),
+    (lambda v: KineticFilm(L0=1.0, I_star=v), "I_star"),
+    (lambda v: KineticFilm(L0=1.0, I_star=1.0, L_sheet=v), "L_sheet"),
+    (lambda v: PumpConfig(omega_p=v, g=1.0), "omega_p"),
+    (lambda v: PumpConfig(omega_p=1.0, phi_p=v, g=1.0), "phi_p"),
+    (lambda v: PumpConfig(omega_p=1.0, I_dc=v, g=1.0), "I_dc"),
+    (lambda v: PumpConfig(omega_p=1.0, g=v), "g"),
+    (lambda v: PumpConfig(omega_p=1.0, P_p=v), "P_p"),
+    (lambda v: PumpConfig(omega_p=1.0, P_p=1.0, Z_ref=v), "Z_ref"),
+    (lambda v: PumpConfig(omega_p=1.0, P_p=1.0, cal=v), "cal"),
+    (lambda v: CoupledSystem(mode_a=ResonatorParams(**_RES),
+                             mode_b=ResonatorParams(**_RES), J=v), "J"),
+    *[(lambda v, f=f: NoiseChain(**{**_CHAIN, f: v}), f) for f in _CHAIN],
+]
+
+
+@pytest.mark.parametrize("make,field", _NON_FINITE_CASES,
+                         ids=[field for _, field in _NON_FINITE_CASES])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_value_types_reject_non_finite(make, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        make(value)
