@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -495,6 +496,29 @@ def bare_drift(system: CoupledSystem, g: float, delta_a: float = 0.0,
 # Pump-frequency regime map
 # ---------------------------------------------------------------------------
 
+def _left_bases(values: np.ndarray) -> np.ndarray:
+    """For each sample, the minimum from it back to the nearest strictly
+    higher sample (or to the start). NaN is neither a base nor higher."""
+    bases = array("d")
+    # monotone stack: heights strictly decrease, each with the minimum of
+    # the stretch of samples it stands for
+    heights, lows = [], []
+    for v in memoryview(values):
+        if v != v:
+            bases.append(v)
+            continue
+        low = v
+        while heights and heights[-1] <= v:
+            heights.pop()
+            m = lows.pop()
+            if m < low:
+                low = m
+        heights.append(v)
+        lows.append(low)
+        bases.append(low)
+    return np.frombuffer(bases)
+
+
 def find_peaks_db(values_db, prominence_db: float = 3.0) -> list[int]:
     """Indices of local maxima with at least the given dB prominence.
 
@@ -503,48 +527,20 @@ def find_peaks_db(values_db, prominence_db: float = 3.0) -> list[int]:
     point count sample a resonance top as such a plateau). Prominence is
     the height above the higher of the two base levels, where each base
     is the minimum between the peak and the nearest higher sample (or
-    the grid edge).
+    the grid edge). Runs in linear time; on finite values it returns the
+    indices of ``scipy.signal.find_peaks(values_db, prominence=...)[0]``.
     """
     y = np.asarray(values_db, dtype=float)
-    n = len(y)
-    peaks = []
-    i = 1
-    while i < n - 1:
-        if not y[i] > y[i - 1]:
-            i += 1
-            continue
-        j = i
-        while j < n - 1 and y[j + 1] == y[i]:
-            j += 1
-        if j == n - 1 or y[j + 1] > y[i]:
-            i = j + 1
-            continue
-        left_min = y[i]
-        k = i - 1
-        left_base = None
-        while k >= 0:
-            left_min = min(left_min, y[k])
-            if y[k] > y[i]:
-                left_base = left_min
-                break
-            k -= 1
-        if left_base is None:
-            left_base = left_min
-        right_min = y[j]
-        k = j + 1
-        right_base = None
-        while k < n:
-            right_min = min(right_min, y[k])
-            if y[k] > y[j]:
-                right_base = right_min
-                break
-            k += 1
-        if right_base is None:
-            right_base = right_min
-        if y[i] - max(left_base, right_base) >= prominence_db:
-            peaks.append((i + j) // 2)
-        i = j + 1
-    return peaks
+    # runs of equal samples [start, end] short of the last sample; a peak
+    # run rises in from the left and falls (or meets a NaN) on the right
+    ends = np.flatnonzero(y[1:] != y[:-1])
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    peak = (starts > 0) & (y[starts] > y[starts - 1]) & ~(y[ends + 1] >= y[ends])
+    starts, ends = starts[peak], ends[peak]
+    left = _left_bases(y)
+    right = _left_bases(y[::-1])[::-1]
+    keep = y[starts] - np.maximum(left[starts], right[ends]) >= prominence_db
+    return ((starts[keep] + ends[keep]) // 2).tolist()
 
 
 def _refined_peak_height(y_db: np.ndarray) -> float:
@@ -615,10 +611,11 @@ def pump_regime_map(
     w_grid = np.linspace(-half_span, half_span, 2001)
 
     pump = np.asarray(pump_grid, dtype=float)
+    if len(pump) == 0:
+        raise ValueError("pump_regime_map requires a non-empty pump grid")
     deltas = omega_c - pump / 2.0
-    # one stacked eigenvalue solve; the reshape keeps an empty grid (N, 4, 4)
-    drifts = np.array([bare_drift(system, g, d, d) for d in deltas]).reshape(-1, 4, 4)
-    growth = np.linalg.eigvals(drifts).real.max(axis=-1)
+    drifts = np.array([bare_drift(system, g, d, d) for d in deltas])
+    growth = np.linalg.eigvals(drifts).real.max(axis=-1)  # one stacked solve
     peak_db = np.full(len(pump), np.nan)
     kappa_e = system.mode_a.kappa_e
     for i in np.flatnonzero(~(growth >= 0.0)):  # skip self-oscillating points
@@ -626,11 +623,10 @@ def pump_regime_map(
         signal_a = kappa_e * bm * upper / den - 1.0
         peak_db[i] = _refined_peak_height(power_db(np.abs(signal_a) ** 2))
 
-    finite = np.where(np.isfinite(peak_db))[0]
-    if len(finite) == 0:
+    finite = np.isfinite(peak_db)
+    if not finite.any():
         raise UnstableRegime("system self-oscillates over the whole pump grid")
-    filled = peak_db.copy()
-    filled[~np.isfinite(filled)] = np.min(peak_db[finite])
+    filled = np.where(finite, peak_db, np.min(peak_db[finite]))
     peaks = find_peaks_db(filled, prominence_db)
 
     # classify each peak by its detuning: delta ~ +J, 0, -J

@@ -219,6 +219,18 @@ def _lorentzian(f, peak, f0, fwhm, base):
 # Fits
 # ---------------------------------------------------------------------------
 
+def _require_kind(trace: Trace, kind: str, fit: str) -> None:
+    if trace.kind != kind:
+        raise ValueError(f"{fit} requires kind={kind}, got {trace.kind}")
+
+
+def _width_above(f, y, level) -> float:
+    """Span of f between the first and last sample with y above level,
+    at least one grid step: the half-maximum width that seeds a fit."""
+    above = np.where(y > level)[0]
+    return max(float(f[above[-1]] - f[above[0]]), float(f[1] - f[0]))
+
+
 def fit_reflection(trace: Trace, init: dict | None = None) -> FitResult:
     """Resonance parameters {f0_hz, kappa_e_hz, kappa_i_hz} from a complex
     reflection trace, model S11(f) = eta*k / (k/2 - i(f - f0)) - 1.
@@ -227,8 +239,7 @@ def fit_reflection(trace: Trace, init: dict | None = None) -> FitResult:
     the 1-|S11|^2 dip, eta from the dip depth. Residuals are the stacked
     real and imaginary parts.
     """
-    if trace.kind != "reflection":
-        raise ValueError(f"fit_reflection requires kind=reflection, got {trace.kind}")
+    _require_kind(trace, "reflection", "fit_reflection")
     f = trace.x
     y = trace.y
     if init is None:
@@ -238,8 +249,7 @@ def fit_reflection(trace: Trace, init: dict | None = None) -> FitResult:
             raise IllConditioned("no resonance dip in the reflection trace")
         i0 = int(np.argmin(np.abs(y)))
         f0 = float(f[i0])
-        above = np.where(dip > peak / 2.0)[0]
-        kappa_hz = max(float(f[above[-1]] - f[above[0]]), float(f[1] - f[0]))
+        kappa_hz = _width_above(f, dip, peak / 2.0)
         eta = (1.0 + float(np.real(y[i0]))) / 2.0
         eta = min(max(eta, 0.05), 0.995)
         p0 = [f0, eta * kappa_hz, (1.0 - eta) * kappa_hz]
@@ -266,8 +276,7 @@ def fit_bias_sweep(trace: Trace) -> FitResult:
     Closed form, no iteration. Uncertainties propagate from the
     regression covariance.
     """
-    if trace.kind != "bias_shift":
-        raise ValueError(f"fit_bias_sweep requires kind=bias_shift, got {trace.kind}")
+    _require_kind(trace, "bias_shift", "fit_bias_sweep")
     if len(trace) < 3:
         raise ValueError("bias sweep needs at least 3 points")
     i_sq = trace.x.astype(float) ** 2
@@ -336,8 +345,7 @@ def _gain_profile_starts(f, y_db, kappa_hint):
     # linewidth backbone from the half-maximum width of the feature: the
     # pump-off dip has FWHM kappa and amplification narrows it, so a
     # couple of multiples bracket the plausible range
-    above = np.where(deviation > deviation.max() / 2.0)[0]
-    width = max(float(f[above[-1]] - f[above[0]]), float(f[1] - f[0]))
+    width = _width_above(f, deviation, deviation.max() / 2.0)
     kappa_grid = (kappa_hint,) if kappa_hint else (width, 3.0 * width)
 
     def quartic_inversion(center):
@@ -386,8 +394,7 @@ def _gain_profile_starts(f, y_db, kappa_hint):
     i_peak = int(np.argmax(y_db))
     if y_db[i_peak] > 0.5:  # clear amplification peak: height/width heuristic
         eta0 = 0.9
-        above = np.where(y_lin > y_lin[i_peak] / 2.0)[0]
-        fwhm = max(float(f[above[-1]] - f[above[0]]), float(f[1] - f[0]))
+        fwhm = _width_above(f, y_lin, y_lin[i_peak] / 2.0)
         amp = math.sqrt(y_lin[i_peak])
         kappa0 = kappa_hint if kappa_hint else fwhm * (amp + 1.0) / eta0
         g0 = kappa0 / 2.0 * math.sqrt(max(1.0 - 2.0 * eta0 / (amp + 1.0), 0.0))
@@ -412,8 +419,7 @@ def fit_gain_profile(trace: Trace, kappa_hint: float | None = None) -> FitResult
     Raises UnstableFit when the converged pump rate sits on the
     oscillation boundary g = kappa/2 (reported, not clamped).
     """
-    if trace.kind != "gain_db":
-        raise ValueError(f"fit_gain_profile requires kind=gain_db, got {trace.kind}")
+    _require_kind(trace, "gain_db", "fit_gain_profile")
     f = trace.x
     y_db = trace.y.astype(float)
     span = float(f[-1] - f[0])
@@ -476,10 +482,7 @@ def fit_noise_temperature(trace: Trace, omega: float) -> FitResult:
     the intercept. Raises NonPhysical when the fitted n_add is negative
     by more than three standard errors.
     """
-    if trace.kind != "noise_psd":
-        raise ValueError(
-            f"fit_noise_temperature requires kind=noise_psd, got {trace.kind}"
-        )
+    _require_kind(trace, "noise_psd", "fit_noise_temperature")
     T = trace.x
     y = trace.y.astype(float)
     if len(trace) < 3:
@@ -516,8 +519,7 @@ def fit_lorentzian(trace: Trace) -> FitResult:
     on the grid edge) or more than one prominent peak (double-mode
     spectra must be split before bandwidth extraction).
     """
-    if trace.kind != "gain_db":
-        raise ValueError(f"fit_lorentzian requires kind=gain_db, got {trace.kind}")
+    _require_kind(trace, "gain_db", "fit_lorentzian")
     f = trace.x
     y_db = trace.y.astype(float)
     peaks = ampcore.find_peaks_db(y_db, prominence_db=3.0)
@@ -530,8 +532,7 @@ def fit_lorentzian(trace: Trace) -> FitResult:
     base0 = float(np.percentile(y_lin, 10))
     peak0 = float(y_lin[i_peak])
     half = base0 + (peak0 - base0) / 2.0
-    above = np.where(y_lin > half)[0]
-    fwhm0 = max(float(f[above[-1]] - f[above[0]]), float(f[1] - f[0]))
+    fwhm0 = _width_above(f, y_lin, half)
     p0 = [peak0, float(f[i_peak]), fwhm0, base0]
     scale = np.array([peak0, float(f[-1] - f[0]), fwhm0, max(base0, 1e-3 * peak0)])
 

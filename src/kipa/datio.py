@@ -85,13 +85,6 @@ def load_trace(path, kind: str) -> Trace:
         ys.append(complex(values[1], values[2]) if kind == "reflection" else values[1])
     if not xs:
         raise ParseError("trace file has no data rows", line=3)
-    if len(xs) > 1:
-        for i in range(1, len(xs)):
-            if xs[i] <= xs[i - 1]:
-                raise SchemaMismatch(
-                    f"{columns[0]} must be strictly increasing "
-                    f"(violated at data row {i + 1})"
-                )
     try:
         return Trace(x=xs, y=ys, kind=kind)
     except ValueError as exc:

@@ -46,6 +46,31 @@ def _require_finite(obj, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _freeze_grid(obj, x_name: str, y_name: str, y_dtype) -> None:
+    """Replace ``obj.<x_name>`` (float) and ``obj.<y_name>`` (``y_dtype``)
+    by read-only 1-d copies of equal length, x strictly increasing; raises
+    ValueError naming the first offending index."""
+    # own copies: marking views read-only would freeze caller arrays
+    x = np.array(getattr(obj, x_name), dtype=float)
+    y = np.array(getattr(obj, y_name), dtype=y_dtype)
+    if x.ndim != 1 or y.ndim != 1 or len(x) != len(y):
+        raise ValueError(
+            f"{x_name} and {y_name} must be 1-d arrays of equal length, "
+            f"got shapes {x.shape} and {y.shape}"
+        )
+    bad = np.flatnonzero(~(x[1:] > x[:-1]))
+    if len(bad):
+        i = bad[0] + 1
+        raise ValueError(
+            f"{x_name} must be strictly increasing, got {x_name}[{i}] = "
+            f"{x[i].item()!r} after {x_name}[{i - 1}] = {x[i - 1].item()!r}"
+        )
+    x.setflags(write=False)
+    y.setflags(write=False)
+    object.__setattr__(obj, x_name, x)
+    object.__setattr__(obj, y_name, y)
+
+
 @dataclass(frozen=True)
 class ResonatorParams:
     """One resonator mode.
@@ -180,21 +205,7 @@ class ComplexSpectrum:
     values: np.ndarray
 
     def __post_init__(self):
-        # own copies: marking views read-only would freeze caller arrays
-        freqs = np.array(self.freqs, dtype=float)
-        values = np.array(self.values, dtype=complex)
-        if freqs.ndim != 1 or values.ndim != 1:
-            raise ValueError("freqs and values must be one-dimensional")
-        if len(freqs) != len(values):
-            raise ValueError(
-                f"length mismatch: {len(freqs)} freqs vs {len(values)} values"
-            )
-        if len(freqs) > 1 and not np.all(np.diff(freqs) > 0):
-            raise ValueError("freqs must be strictly increasing")
-        freqs.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "values", values)
+        _freeze_grid(self, "freqs", "values", complex)
 
     def __len__(self) -> int:
         return len(self.freqs)
@@ -215,7 +226,8 @@ TRACE_KINDS = ("reflection", "gain_db", "noise_psd", "bias_shift")
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Measurement trace: x strictly increasing, y kind-consistent.
+    """Measurement trace: x finite and strictly increasing, y finite and
+    kind-consistent.
 
     kind=reflection: x frequency [Hz], y complex reflection.
     kind=gain_db:    x frequency [Hz], y power gain [dB].
@@ -230,20 +242,17 @@ class Trace:
     def __post_init__(self):
         if self.kind not in TRACE_KINDS:
             raise ValueError(f"unknown trace kind {self.kind!r}")
-        # own copies: marking views read-only would freeze caller arrays
-        x = np.array(self.x, dtype=float)
         if self.kind != "reflection" and np.iscomplexobj(np.asarray(self.y)):
             raise ValueError(f"kind={self.kind} requires real y values")
         dtype = complex if self.kind == "reflection" else float
-        y = np.array(self.y, dtype=dtype)
-        if x.ndim != 1 or y.ndim != 1 or len(x) != len(y):
-            raise ValueError("x and y must be 1-d arrays of equal length")
-        if len(x) > 1 and not np.all(np.diff(x) > 0):
-            raise ValueError("x must be strictly increasing")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        _freeze_grid(self, "x", "y", dtype)  # a NaN in x fails as not increasing
+        for name, values in (("x", self.x), ("y", self.y)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if len(bad):
+                i = bad[0]
+                raise ValueError(
+                    f"{name} must be finite, got {name}[{i}] = {values[i].item()!r}"
+                )
 
     def __len__(self) -> int:
         return len(self.x)

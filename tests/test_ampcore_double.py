@@ -280,6 +280,10 @@ class TestPumpRegimeMap:
         with pytest.raises(ValueError):
             pump_regime_map(system, 0.0, [2 * OMEGA0])
 
+    def test_empty_pump_grid_is_bad_input(self):
+        with pytest.raises(ValueError, match="non-empty pump grid"):
+            pump_regime_map(make_pair(j_over_kappa=10.0), 0.0, [])
+
     def test_self_oscillating_pump_points_skipped(self):
         # just above the anticrossing oscillation point parts of the pump
         # axis self-oscillate and are excluded from the sweep

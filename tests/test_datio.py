@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,27 @@ class TestTraceIO:
         )
         with pytest.raises(SchemaMismatch):
             load_trace(path, "gain_db")
+
+    @pytest.mark.parametrize("third_freq", ["7.1e9", "7.05e9"],
+                             ids=["repeated", "decreasing"])
+    def test_non_increasing_frequency_names_the_sample(self, tmp_path, capsys,
+                                                       third_freq):
+        from kipa.cli import main
+
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "# kind=gain_db\nfreq_hz,gain_db\n7.0e9,1.0\n7.1e9,2.0\n"
+            f"{third_freq},3.0\n7.3e9,1.0\n",
+            encoding="utf-8",
+        )
+        # the third data row, i.e. array index 2, is the first offending sample
+        position = r"data row 3\b|\[2\]"
+        with pytest.raises(SchemaMismatch, match=position):
+            load_trace(path, "gain_db")
+        assert main(["fit-gain", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "strictly increasing" in err
+        assert re.search(position, err)
 
     def test_kind_mismatch_rejected(self, tmp_path):
         path = tmp_path / "kind.csv"

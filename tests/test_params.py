@@ -12,6 +12,7 @@ from kipa import (
     NoiseChain,
     PumpConfig,
     ResonatorParams,
+    Trace,
     angular_to_hz,
     hz_to_angular,
 )
@@ -80,7 +81,7 @@ def test_coupled_system_rejects_negative_j():
 
 
 def test_spectrum_requires_increasing_grid():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"freqs\[1\] = 0\.0 after freqs\[0\] = 0\.0"):
         ComplexSpectrum([0.0, 0.0, 1.0], [1j, 2j, 3j])
     with pytest.raises(ValueError):
         ComplexSpectrum([0.0, 1.0], [1j])
@@ -147,3 +148,15 @@ _NON_FINITE_CASES = [
 def test_value_types_reject_non_finite(make, field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         make(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["x", "y"])
+def test_trace_rejects_non_finite_samples(field, value):
+    samples = {"x": [0.0, 1.0, 2.0], "y": [0.0, 1.0, 2.0]}
+    samples[field][2] = value
+    # a NaN or -inf in x also breaks the increasing order; either way the
+    # message names the array and the offending sample
+    message = rf"^{field} must be .*{field}\[2\] = {value!r}"
+    with pytest.raises(ValueError, match=message):
+        Trace(kind="gain_db", **samples)

@@ -1,16 +1,22 @@
 """Structural invariants of the closed forms, checked over seeded random
-parameter sweeps."""
+parameter sweeps, and of the peak finder, checked against scipy over
+generated traces."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from kipa import (
     CoupledSystem,
     ResonatorParams,
     commutation_residual,
     double_mode_gain_bare,
+    find_peaks_db,
     on_resonance_gain,
     phase_sensitive_gain,
     single_mode_gain,
@@ -137,3 +143,41 @@ def test_double_threshold_scales_with_cooperativity():
             j_small, 0.0
         ).threshold
         assert stability_double(j_small, 0.0).threshold >= mode_a.kappa / 2
+
+
+# beyond +-1e300 the difference of two samples overflows to inf and
+# numpy warns, which the suite turns into an error
+_SAMPLES = st.floats(min_value=-1e300, max_value=1e300)
+_TRACES = st.one_of(
+    st.lists(_SAMPLES, max_size=200),
+    # few distinct values, so that plateaus and equal bases are common
+    st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 5.0]), max_size=200),
+    st.lists(_SAMPLES, min_size=1, max_size=4).flatmap(
+        lambda levels: st.lists(st.sampled_from(levels), max_size=200)
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(values=_TRACES, prominence=st.sampled_from([0.0, 1.0, 3.0]))
+def test_find_peaks_matches_scipy(values, prominence):
+    expected = find_peaks(np.array(values), prominence=prominence)[0].tolist()
+    assert find_peaks_db(values, prominence) == expected
+
+
+def test_find_peaks_linear_on_rising_zigzag():
+    # every local maximum tops all samples before it, so a per-peak
+    # outward scan would walk back to the start from each of them
+    k = np.arange(8000)
+    zigzag = k // 2 + 2.0 * (k % 2)
+    start = time.perf_counter()
+    peaks = find_peaks_db(zigzag, 0.0)
+    assert time.perf_counter() - start < 1.0
+    assert peaks == find_peaks(zigzag, prominence=0.0)[0].tolist()
+
+
+def test_find_peaks_nan_ends_a_run_but_is_no_base():
+    # the 5 is a peak (the NaN after it ends its run); its right base is
+    # the 1, not the NaN, and the 6 stays the higher sample that bounds it
+    assert find_peaks_db([0.0, 5.0, math.nan, 1.0, 6.0, 0.0], 3.0) == [1, 4]
+    assert find_peaks_db([0.0, 5.0, math.nan, 3.0, 6.0, 0.0], 3.0) == [4]
