@@ -175,8 +175,19 @@ def susceptibility(
     return num / den
 
 
-def _single_mode_denominator(res, g, delta, omega):
-    return delta**2 - g**2 + (1j * omega - res.kappa / 2.0) ** 2
+def _single_mode_factors(kappa, eta, g, delta, phi_p, w):
+    """Signal and idler gain factors of :func:`single_mode_gain` at ``w``.
+
+    Every argument may be a scalar or an array; they broadcast, so one
+    call evaluates many working points at once (one per element). Raises
+    PoleAtFrequency at the first pole; stability is the caller's check.
+    """
+    den = delta**2 - g**2 + (1j * w - kappa / 2.0) ** 2
+    scale = delta**2 + g**2 + (kappa / 2.0) ** 2 + w**2
+    _require_no_pole(den, scale, w, "gain")
+    signal = eta * kappa * (kappa / 2.0 - 1j * (w + delta)) / den - 1.0
+    idler = -1j * eta * kappa * g * np.exp(1j * phi_p) / den
+    return signal, idler
 
 
 def single_mode_gain(
@@ -218,12 +229,7 @@ def single_mode_gain(
     """
     _require_stable(stability_single(res, g), g)
     w = np.asarray(omega_grid, dtype=float)
-    k = res.kappa
-    den = _single_mode_denominator(res, g, delta, w)
-    scale = delta**2 + g**2 + (k / 2.0) ** 2 + w**2
-    _require_no_pole(den, scale, w, "gain")
-    signal = res.eta * k * (k / 2.0 - 1j * (w + delta)) / den - 1.0
-    idler = -1j * res.eta * k * g * np.exp(1j * phi_p) / den
+    signal, idler = _single_mode_factors(res.kappa, res.eta, g, delta, phi_p, w)
     return ComplexSpectrum(w, signal), ComplexSpectrum(w, idler)
 
 
@@ -433,39 +439,42 @@ def double_mode_gain_bare(
     """
     _require_stable(stability_double(system, g), g)
     a, b = system.mode_a, system.mode_b
-    J = system.J
     w = np.asarray(omega_grid, dtype=float)
-    am, bm, bp, lower, upper, den = _bare_kernel(system, g, delta_a, delta_b, w)
-    scale = np.abs(lower) * np.abs(upper) + g**2 * np.abs(bm) * np.abs(bp)
-    _require_no_pole(den, scale, w, "bare gain")
-    cross = g * J * np.exp(1j * phi_p) * math.sqrt(a.kappa_e * b.kappa_e)
-    signal_a = a.kappa_e * bm * upper / den - 1.0
-    idler_a = cross * bm / den
-    signal_b = b.kappa_e * (am * upper - g**2 * bp) / den - 1.0
-    idler_b = -cross * bp / den
-    return BareGains(
-        signal_a=ComplexSpectrum(w, signal_a),
-        idler_a=ComplexSpectrum(w, idler_a),
-        signal_b=ComplexSpectrum(w, signal_b),
-        idler_b=ComplexSpectrum(w, idler_b),
-    )
+    gains = _bare_factors(a.kappa, b.kappa, a.kappa_e, b.kappa_e, system.J,
+                          g, delta_a, delta_b, phi_p, w)
+    return BareGains(*(ComplexSpectrum(w, values) for values in gains))
 
 
-def _bare_kernel(system: CoupledSystem, g: float, delta_a: float,
-                 delta_b: float, w: np.ndarray):
-    """Per-mode factors and common denominator of the bare-mode gains on
-    the grid ``w``: (am, bm, bp, lower, upper, den), see
-    :func:`double_mode_gain_bare`."""
-    a, b = system.mode_a, system.mode_b
-    J = system.J
-    am = a.kappa / 2.0 - 1j * (w - delta_a)
-    ap = a.kappa / 2.0 - 1j * (w + delta_a)
-    bm = b.kappa / 2.0 - 1j * (w - delta_b)
-    bp = b.kappa / 2.0 - 1j * (w + delta_b)
+def _bare_kernel(kappa_a, kappa_b, J, g, delta_a, delta_b, w):
+    """Per-mode factors and common denominator of the bare-mode gains at
+    ``w``: (am, bm, bp, lower, upper, den), see
+    :func:`double_mode_gain_bare`. Arguments broadcast like those of
+    :func:`_single_mode_factors`."""
+    am = kappa_a / 2.0 - 1j * (w - delta_a)
+    ap = kappa_a / 2.0 - 1j * (w + delta_a)
+    bm = kappa_b / 2.0 - 1j * (w - delta_b)
+    bp = kappa_b / 2.0 - 1j * (w + delta_b)
     upper = ap * bp + J**2
     lower = am * bm + J**2
     den = lower * upper - g**2 * bm * bp
     return am, bm, bp, lower, upper, den
+
+
+def _bare_factors(kappa_a, kappa_b, kappa_ae, kappa_be, J, g, delta_a,
+                  delta_b, phi_p, w):
+    """(signal_a, idler_a, signal_b, idler_b) of
+    :func:`double_mode_gain_bare` at ``w``; arguments broadcast. Raises
+    PoleAtFrequency at the first pole; stability is the caller's check."""
+    am, bm, bp, lower, upper, den = _bare_kernel(kappa_a, kappa_b, J, g,
+                                                 delta_a, delta_b, w)
+    scale = np.abs(lower) * np.abs(upper) + g**2 * np.abs(bm) * np.abs(bp)
+    _require_no_pole(den, scale, w, "bare gain")
+    cross = g * J * np.exp(1j * phi_p) * np.sqrt(kappa_ae * kappa_be)
+    signal_a = kappa_ae * bm * upper / den - 1.0
+    idler_a = cross * bm / den
+    signal_b = kappa_be * (am * upper - g**2 * bp) / den - 1.0
+    idler_b = -cross * bp / den
+    return signal_a, idler_a, signal_b, idler_b
 
 
 def bare_drift(system: CoupledSystem, g: float, delta_a: float = 0.0,
@@ -617,9 +626,9 @@ def pump_regime_map(
     drifts = np.array([bare_drift(system, g, d, d) for d in deltas])
     growth = np.linalg.eigvals(drifts).real.max(axis=-1)  # one stacked solve
     peak_db = np.full(len(pump), np.nan)
-    kappa_e = system.mode_a.kappa_e
+    ka, kb, kappa_e = system.mode_a.kappa, system.mode_b.kappa, system.mode_a.kappa_e
     for i in np.flatnonzero(~(growth >= 0.0)):  # skip self-oscillating points
-        _, bm, _, _, upper, den = _bare_kernel(system, g, deltas[i], deltas[i], w_grid)
+        _, bm, _, _, upper, den = _bare_kernel(ka, kb, J, g, deltas[i], deltas[i], w_grid)
         signal_a = kappa_e * bm * upper / den - 1.0
         peak_db[i] = _refined_peak_height(power_db(np.abs(signal_a) ** 2))
 

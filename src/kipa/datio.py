@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from .errors import ParseError, SchemaMismatch, UnitError
 from .params import (
     CoupledSystem,
+    GridOrderError,
     KineticFilm,
     PumpConfig,
     ResonatorParams,
@@ -67,6 +68,7 @@ def load_trace(path, kind: str) -> Trace:
         )
     xs: list[float] = []
     ys: list = []
+    rows: list[int] = []  # file line of each kept row
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
@@ -83,10 +85,18 @@ def load_trace(path, kind: str) -> Trace:
             raise ParseError(f"non-finite value in row {line!r}", line=lineno)
         xs.append(values[0])
         ys.append(complex(values[1], values[2]) if kind == "reflection" else values[1])
+        rows.append(lineno)
     if not xs:
         raise ParseError("trace file has no data rows", line=3)
     try:
         return Trace(x=xs, y=ys, kind=kind)
+    except GridOrderError as exc:
+        i = exc.index
+        raise SchemaMismatch(
+            f"{columns[0]} must be strictly increasing, got {xs[i]!r} after "
+            f"{xs[i - 1]!r} on line {rows[i - 1]}",
+            line=rows[i],
+        ) from exc
     except ValueError as exc:
         raise SchemaMismatch(str(exc)) from exc
 

@@ -57,8 +57,8 @@ class UnstableFit(FitError):
         super().__init__(message)
 
 
-class ParseError(KipaError):
-    """Malformed trace or config file."""
+class _FileError(KipaError):
+    """Error in an input file, at a 1-based ``line`` when one is known."""
 
     def __init__(self, message, line=None):
         self.line = line
@@ -67,7 +67,11 @@ class ParseError(KipaError):
         super().__init__(message)
 
 
-class SchemaMismatch(KipaError):
+class ParseError(_FileError):
+    """Malformed trace or config file."""
+
+
+class SchemaMismatch(_FileError):
     """File is well-formed but does not match the expected schema."""
 
 

@@ -46,10 +46,19 @@ def _require_finite(obj, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+class GridOrderError(ValueError):
+    """A grid that is not strictly increasing; ``index`` is the first
+    sample out of order."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 def _freeze_grid(obj, x_name: str, y_name: str, y_dtype) -> None:
     """Replace ``obj.<x_name>`` (float) and ``obj.<y_name>`` (``y_dtype``)
     by read-only 1-d copies of equal length, x strictly increasing; raises
-    ValueError naming the first offending index."""
+    ValueError, or GridOrderError naming the first offending index."""
     # own copies: marking views read-only would freeze caller arrays
     x = np.array(getattr(obj, x_name), dtype=float)
     y = np.array(getattr(obj, y_name), dtype=y_dtype)
@@ -60,10 +69,11 @@ def _freeze_grid(obj, x_name: str, y_name: str, y_dtype) -> None:
         )
     bad = np.flatnonzero(~(x[1:] > x[:-1]))
     if len(bad):
-        i = bad[0] + 1
-        raise ValueError(
+        i = int(bad[0]) + 1
+        raise GridOrderError(
             f"{x_name} must be strictly increasing, got {x_name}[{i}] = "
-            f"{x[i].item()!r} after {x_name}[{i - 1}] = {x[i - 1].item()!r}"
+            f"{x[i].item()!r} after {x_name}[{i - 1}] = {x[i - 1].item()!r}",
+            i,
         )
     x.setflags(write=False)
     y.setflags(write=False)

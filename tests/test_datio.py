@@ -76,14 +76,26 @@ class TestTraceIO:
             f"{third_freq},3.0\n7.3e9,1.0\n",
             encoding="utf-8",
         )
-        # the third data row, i.e. array index 2, is the first offending sample
-        position = r"data row 3\b|\[2\]"
-        with pytest.raises(SchemaMismatch, match=position):
+        # the third data row, on file line 5, is the first offending sample
+        position = r"^line 5: freq_hz must be strictly increasing, .* on line 4$"
+        with pytest.raises(SchemaMismatch, match=position) as info:
             load_trace(path, "gain_db")
+        assert info.value.line == 5
         assert main(["fit-gain", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "strictly increasing" in err
-        assert re.search(position, err)
+        assert re.search(position, err.strip().removeprefix("kipa: "))
+
+    def test_non_increasing_line_counts_blank_rows(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "# kind=noise_psd\ntemp_k,psd_w_per_hz\n0.1,1e-22\n\n0.2,2e-22\n"
+            "\n0.15,3e-22\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(SchemaMismatch,
+                           match=r"^line 7: temp_k must be strictly increasing, "
+                                 r"got 0\.15 after 0\.2 on line 5$"):
+            load_trace(path, "noise_psd")
 
     def test_kind_mismatch_rejected(self, tmp_path):
         path = tmp_path / "kind.csv"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kipa import (
     CoupledSystem,
@@ -29,7 +31,11 @@ from kipa.oracle import (
     SINGLE_IDLER,
     SINGLE_SIGNAL,
     TimeDomainRun,
+    draw_double_case,
+    draw_single_case,
+    _stacked_transfer,
 )
+from kipa.prng import SplitMix64
 
 KAPPA = 2 * math.pi * 1e6
 
@@ -89,6 +95,73 @@ class TestMatrixTransfer:
         report = transfer_equivalence(200, seed=123)
         assert report["max_rel_err_single"] < 1e-9
         assert report["max_rel_err_double"] < 1e-9
+
+
+def per_draw_equivalence(draws, seed):
+    """The sweep one draw at a time: draw a case, evaluate the public
+    closed forms on it, solve its own transfer matrix."""
+    rng = SplitMix64(seed)
+    worst_single = 0.0
+    worst_double = 0.0
+    for _ in range(draws):
+        sc = draw_single_case(rng)
+        signal, idler = single_mode_gain(sc.res, sc.g, sc.delta, sc.phi_p, [sc.omega])
+        m = matrix_transfer(
+            single_mode_matrices(sc.res, sc.g, sc.delta, sc.phi_p), sc.omega
+        )
+        for closed, entry in ((signal.values[0], m[SINGLE_SIGNAL]),
+                              (idler.values[0], m[SINGLE_IDLER])):
+            worst_single = max(worst_single,
+                               abs(closed - entry) / max(abs(entry), 1e-30))
+        dc = draw_double_case(rng)
+        gains = double_mode_gain_bare(
+            dc.system, dc.g, dc.delta_a, dc.delta_b, dc.phi_p, [dc.omega]
+        )
+        m = matrix_transfer(
+            double_mode_matrices(dc.system, dc.g, dc.delta_a, dc.delta_b, dc.phi_p),
+            dc.omega,
+        )
+        for closed, entry in ((gains.signal_a.values[0], m[DOUBLE_A_SIGNAL]),
+                              (gains.idler_a.values[0], m[DOUBLE_A_IDLER]),
+                              (gains.signal_b.values[0], m[DOUBLE_B_SIGNAL]),
+                              (gains.idler_b.values[0], m[DOUBLE_B_IDLER])):
+            worst_double = max(worst_double,
+                               abs(closed - entry) / max(abs(entry), 1e-30))
+    return {"draws": draws, "seed": seed, "max_rel_err_single": worst_single,
+            "max_rel_err_double": worst_double}
+
+
+class TestBatchedEquivalence:
+    """The stacked sweep reports exactly what the per-draw sweep reports."""
+
+    @pytest.mark.parametrize("draws", [0, 1, 2, 17, 200])
+    @pytest.mark.parametrize("seed", [0, 7, 123, 2**64 - 1])
+    def test_equals_per_draw_sweep(self, draws, seed):
+        assert transfer_equivalence(draws, seed) == per_draw_equivalence(draws, seed)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), draws=st.integers(0, 30))
+    def test_equals_per_draw_sweep_on_seeded_draws(self, seed, draws):
+        assert transfer_equivalence(draws, seed) == per_draw_equivalence(draws, seed)
+
+    def test_stack_solves_like_single_systems(self):
+        res = make_res(eta=0.9)
+        k = res.kappa
+        mats = [single_mode_matrices(res, f * k, d * k, phi)
+                for f, d, phi in ((0.1, 0.0, 0.0), (0.3, 0.5, 1.0), (0.45, -1.0, 4.0))]
+        omegas = [0.3 * k, -1.1 * k, 0.0]
+        stacked = _stacked_transfer(mats, omegas)
+        for m, sysm, omega in zip(stacked, mats, omegas):
+            assert np.array_equal(m, matrix_transfer(sysm, omega))
+
+    def test_stack_names_the_singular_system(self):
+        res = make_res()
+        k = res.kappa
+        mats = [single_mode_matrices(res, g) for g in (0.1 * k, 0.2 * k, k / 2, 0.3 * k)]
+        with pytest.raises(SingularAt) as info:
+            _stacked_transfer(mats, [0.3 * k, -0.2 * k, 0.0, 0.7 * k])
+        assert info.value.omega == 0.0
+        assert not info.value.condition <= 1e12
 
 
 class TestCommutationResidual:
@@ -251,3 +324,47 @@ class TestTimeDomain:
                           drive_freq=0.0, drive_amp=1.0,
                           step=1.0 / (50 * res.kappa),
                           settle_time=5.0 / margin, sample_time=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["g", "delta", "phi_p", "drive_freq", "step",
+                                       "settle_time", "sample_time", "drive_amp"])
+    def test_run_rejects_non_finite(self, field, value):
+        res = make_res()
+        fields = dict(res=res, g=0.2 * res.kappa, delta=0.0, phi_p=0.0,
+                      drive_freq=0.3 * res.kappa, drive_amp=1.0,
+                      step=1.0 / (50 * res.kappa), settle_time=1e-3,
+                      sample_time=20.0 / res.kappa)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TimeDomainRun(**fields)
+        if field != "g":
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                make_run(**fields)
+
+    @pytest.mark.parametrize("amp", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_run_rejects_non_finite_complex_amp(self, amp):
+        res = make_res()
+        with pytest.raises(ValueError, match="drive_amp must be finite"):
+            make_run(res, 0.2 * res.kappa, drive_freq=0.3 * res.kappa, drive_amp=amp)
+
+
+class TestRK4Pin:
+    """Exact gains of two fixed runs, so a rewrite of the integration loop
+    must reproduce the recurrence step for step."""
+
+    def test_detuned_probe(self):
+        res = make_res(eta=0.85)
+        k = res.kappa
+        result = time_domain_gain(
+            make_run(res, 0.35 * k, delta=0.1 * k, phi_p=0.7, drive_freq=0.4 * k))
+        assert repr(result.signal_gain) == "1.251547836773969"
+        assert repr(result.idler_gain) == "0.5514193373288749"
+
+    def test_resonant_probe_two_quadratures(self):
+        res = make_res(eta=0.85)
+        k = res.kappa
+        result = time_domain_gain(
+            make_run(res, 0.3 * k, delta=-0.05 * k, phi_p=1.1, drive_freq=0.0))
+        assert repr(result.signal_gain) == "2.677869820232005"
+        assert repr(result.idler_gain) == "2.462485204939851"
