@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleAtFrequency, RWAViolation, UnstableRegime
+from .errors import NonPhysical, PoleAtFrequency, RWAViolation, UnstableRegime
 from .params import (
     ComplexSpectrum,
     CoupledSystem,
@@ -114,8 +114,16 @@ def stability_double(system: CoupledSystem, g: float) -> DoubleModeStability:
     """
     ka = system.mode_a.kappa
     kb = system.mode_b.kappa
-    c0 = 4.0 * system.J**2 / (ka * kb)
+    try:
+        c0 = 4.0 * system.J**2 / (ka * kb)
+    except OverflowError:
+        c0 = math.inf
     threshold = ka * (1.0 + c0) / 2.0
+    if not math.isfinite(threshold):
+        raise NonPhysical(
+            f"coupled-system threshold overflows: J={system.J:g} rad/s against "
+            f"kappa_a={ka:g}, kappa_b={kb:g} rad/s"
+        )
     return DoubleModeStability(
         stable=g < threshold, cooperativity=c0, threshold=threshold,
         margin=threshold - g,
@@ -477,8 +485,8 @@ def _bare_factors(kappa_a, kappa_b, kappa_ae, kappa_be, J, g, delta_a,
     return signal_a, idler_a, signal_b, idler_b
 
 
-def bare_drift(system: CoupledSystem, g: float, delta_a: float = 0.0,
-               delta_b: float = 0.0, phi_p: float = 0.0) -> np.ndarray:
+def bare_drift(system: CoupledSystem, g: float, delta_a=0.0, delta_b=0.0,
+               phi_p: float = 0.0) -> np.ndarray:
     """Drift matrix of the bare coupled pair, state [a, b, a+, b+]; the
     parametric drive acts on mode a only.
 
@@ -486,19 +494,23 @@ def bare_drift(system: CoupledSystem, g: float, delta_a: float = 0.0,
     pump sweep classifies stability by its eigenvalues and the
     transfer-matrix oracle (:func:`kipa.oracle.double_mode_matrices`)
     solves with it; gain evaluation goes through the closed forms above.
+    The detunings may be numpy arrays; they broadcast, and the result
+    stacks one 4x4 matrix per element (shape ``(..., 4, 4)``).
     """
     a, b = system.mode_a, system.mode_b
     J = system.J
     gp = 1j * g * cmath.exp(1j * phi_p)  # a-row coupling is -gp, a+-row is +conj(-gp)
-    return np.array(
-        [
-            [-(1j * delta_a + a.kappa / 2.0), -1j * J, -gp, 0.0],
-            [-1j * J, -(1j * delta_b + b.kappa / 2.0), 0.0, 0.0],
-            [-np.conj(gp), 0.0, 1j * delta_a - a.kappa / 2.0, 1j * J],
-            [0.0, 0.0, 1j * J, 1j * delta_b - b.kappa / 2.0],
-        ],
-        dtype=complex,
-    )
+    rows = [
+        [-(1j * delta_a + a.kappa / 2.0), -1j * J, -gp, 0.0],
+        [-1j * J, -(1j * delta_b + b.kappa / 2.0), 0.0, 0.0],
+        [-np.conj(gp), 0.0, 1j * delta_a - a.kappa / 2.0, 1j * J],
+        [0.0, 0.0, 1j * J, 1j * delta_b - b.kappa / 2.0],
+    ]
+    if not isinstance(delta_a, np.ndarray) and not isinstance(delta_b, np.ndarray):
+        return np.array(rows, dtype=complex)  # one matrix, ~3x faster than below
+    shape = np.broadcast_shapes(np.shape(delta_a), np.shape(delta_b))
+    entries = [[np.broadcast_to(v, shape) for v in row] for row in rows]
+    return np.moveaxis(np.array(entries, dtype=complex), (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -552,20 +564,113 @@ def find_peaks_db(values_db, prominence_db: float = 3.0) -> list[int]:
     return ((starts[keep] + ends[keep]) // 2).tolist()
 
 
-def _refined_peak_height(y_db: np.ndarray) -> float:
+def _refined_peak_height(y_db):
     """Maximum of a sampled curve with parabolic refinement through the
     three points around the discrete peak; removes the sampling ripple a
-    sharp resonance leaves on a sweep of peak heights."""
-    i = int(np.argmax(y_db))
-    if i == 0 or i == len(y_db) - 1:
-        return float(y_db[i])
-    y0, y1, y2 = y_db[i - 1], y_db[i], y_db[i + 1]
-    if not (np.isfinite(y0) and np.isfinite(y1) and np.isfinite(y2)):
-        return float(y1)
-    curvature = y0 - 2.0 * y1 + y2
-    if curvature >= 0.0:
-        return float(y1)
-    return float(y1 - (y0 - y2) ** 2 / (8.0 * curvature))
+    sharp resonance leaves on a sweep of peak heights.
+
+    The discrete peak is the first maximum (``np.argmax``); at a grid edge,
+    next to a non-finite sample or where the three points are not concave
+    the sample itself is returned. Works along the last axis of ``y_db``:
+    a 1-D curve gives a float, a stack of curves an array.
+    """
+    y = np.asarray(y_db, dtype=float)
+    rows = y.reshape(-1, y.shape[-1])
+    n = rows.shape[1]
+    r = np.arange(len(rows))
+    i = np.argmax(rows, axis=1)
+    y0, y1, y2 = (rows[r, np.clip(i + k, 0, n - 1)] for k in (-1, 0, 1))
+    out = y1.copy()
+    fit = np.flatnonzero((i > 0) & (i < n - 1) & np.isfinite(y0)
+                         & np.isfinite(y1) & np.isfinite(y2))
+    curvature = y0[fit] - 2.0 * y1[fit] + y2[fit]
+    concave = curvature < 0.0
+    top = fit[concave]
+    # squared on Python floats (libm pow, like a numpy float64 scalar);
+    # numpy's array square can round the last bit the other way
+    spread = np.array([d ** 2 for d in (y0[top] - y2[top]).tolist()])
+    out[top] = y1[top] - spread / (8.0 * curvature[concave])
+    out = out.reshape(y.shape[:-1])
+    return float(out) if out.ndim == 0 else out
+
+
+# Internal frequency grid of each pump point, and the coarse-to-fine search
+# over it (see pump_regime_map). The stride divides the 2000 grid steps, so
+# the cells cover the whole grid with both ends on coarse points.
+_MAP_POINTS = 2001
+_COARSE_STRIDE = 25
+_PUMP_BLOCK = 32       # pump points per block: temporaries of ~1.5 MB stay in L2
+_SKIP_RTOL = 1e-9      # margin of a skipped cell below the best coarse sample
+_POLE_TOL = 1e-6       # pole position error, relative to |delta| + J + kappa + g
+_RESIDUE_PAD = 1e-3    # relative padding of each residue's magnitude
+_PARTIAL_RTOL = 1e-6   # partial fractions vs exact response at the coarse points
+
+
+def _signal_a(kappa_a, kappa_b, kappa_ae, J, g, delta, w):
+    """(|S_a|^2, S_a + 1) of the bare a-mode signal gain at the common
+    detuning ``delta``; arguments broadcast."""
+    _, bm, _, _, upper, den = _bare_kernel(kappa_a, kappa_b, J, g, delta, delta, w)
+    response = kappa_ae * bm * upper / den
+    return np.abs(response - 1.0) ** 2, response
+
+
+def _grid_peaks(rates, deltas, poles, w):
+    """Grid index of the first maximum of |S_a|^2 in dB over ``w`` for
+    each detuning in ``deltas`` (one pump point each, with the response
+    poles ``poles``, shape (n, 4)), evaluating only the cells that the
+    certificate of :func:`pump_regime_map` cannot rule out."""
+    kappa_a, kappa_b, kappa_ae, J, g = rates
+    step = _COARSE_STRIDE
+    delta = deltas[:, None]
+
+    # exact samples at the cell ends, and the partial fractions
+    # S_a + 1 = sum_k r_k / (w - p_k) of the proper rational response
+    ends = w[::step]
+    y_ends, f_ends = _signal_a(kappa_a, kappa_b, kappa_ae, J, g, delta, ends)
+    _, bm, _, _, upper, _ = _bare_kernel(kappa_a, kappa_b, J, g, delta, delta, poles)
+    gaps = poles[:, :, None] - poles[:, None, :]
+    gaps[:, range(4), range(4)] = 1.0
+    tol = _POLE_TOL * (np.abs(deltas) + J + max(kappa_a, kappa_b) + g)
+    lo, hi = ends[:-1], ends[1:]
+    partial = f0 = f1 = f2 = 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        residues = kappa_ae * bm * upper / gaps.prod(axis=2)
+        weights = np.abs(residues) * (1.0 + _RESIDUE_PAD)
+        for k in range(4):
+            p = poles[:, k, None]
+            partial = partial + residues[:, k, None] / (ends - p)
+            # bounds of |f|, |f'| and |f''|/2 on each cell from the
+            # pole's distance to it, less the tolerance
+            outside = np.maximum(np.maximum(lo - p.real, p.real - hi), 0.0)
+            dist = np.sqrt(outside**2 + p.imag**2) - tol[:, None]
+            inv = np.where(dist > 0.0, 1.0 / dist, np.inf)
+            term = weights[:, k, None] * inv
+            f0 = f0 + term
+            term *= inv
+            f1 = f1 + term
+            term *= inv
+            f2 = f2 + term
+        exact = (np.max(np.abs(partial - f_ends), axis=1)
+                 <= _PARTIAL_RTOL * np.max(np.abs(f_ends), axis=1))
+        # y = |f - 1|^2 has y'' = 2|f'|^2 + 2 Re(f'' conj(f - 1))
+        bound = (np.maximum(y_ends[:, :-1], y_ends[:, 1:])
+                 + (hi - lo) ** 2 / 8.0 * (2.0 * f1**2 + 4.0 * f2 * (f0 + 1.0)))
+        best = y_ends.max(axis=1)
+        floor = np.where(exact & np.isfinite(best), (1.0 - _SKIP_RTOL) * best, -np.inf)
+    keep = ~(bound < floor[:, None])  # a NaN bound keeps its cell
+
+    # evaluate the kept cells; first maximum of each cell, then of each
+    # pump point's cells in grid order (ties keep np.argmax's first index)
+    rows, cells = np.nonzero(keep)
+    idx = cells[:, None] * step + np.arange(step + 1)
+    y_db = power_db(_signal_a(kappa_a, kappa_b, kappa_ae, J, g, delta[rows], w[idx])[0])
+    at = np.argmax(y_db, axis=1)
+    counts = np.bincount(rows, minlength=len(deltas))
+    starts = np.cumsum(counts) - counts
+    table = np.full((len(deltas), counts.max()), -np.inf)
+    table[rows, np.arange(len(rows)) - starts[rows]] = y_db[np.arange(len(rows)), at]
+    best_row = starts + np.argmax(table, axis=1)
+    return idx[best_row, at[best_row]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -595,12 +700,30 @@ def pump_regime_map(
 
     For each pump frequency the bare-mode response is evaluated at the
     common detuning delta = Omega - omega_p/2 and the peak of the a-mode
-    signal gain over an internal frequency grid is recorded; pump points
-    where the coupled system self-oscillates (drift eigenvalue with
-    non-negative real part) are skipped. Local maxima of the resulting
-    sweep with at least ``prominence_db`` prominence are classified by
-    their detuning as the lower single-mode, double-mode and upper
-    single-mode regimes.
+    signal gain over an internal 2001-point frequency grid is recorded
+    (the grid maximum in dB, refined by a parabola through it and its two
+    neighbours); pump points where the coupled system self-oscillates
+    (drift eigenvalue with non-negative real part) are skipped. Local
+    maxima of the resulting sweep with at least ``prominence_db``
+    prominence are classified by their detuning as the lower single-mode,
+    double-mode and upper single-mode regimes.
+
+    The grid maximum is found coarse to fine, and the peak heights equal
+    those of a full-grid evaluation bit for bit. With p_k = i*lambda_k
+    (lambda_k the drift eigenvalues) the response is the proper rational
+    function f = S_a + 1 = sum_k r_k/(w - p_k). On a cell of width h
+    between two coarse samples, with d_k the distance from p_k to the cell
+    (less a tolerance), F0 = sum |r_k|/d_k bounds |f|, F1 = sum |r_k|/d_k^2
+    bounds |f'| and F2 = 2 sum |r_k|/d_k^3 bounds |f''|, so
+
+        max |S_a|^2 <= max(ends) + h^2/8 * (2 F1^2 + 2 F2 (F0 + 1))
+
+    on the cell (|S_a|^2 at the coarse samples is exact). A cell whose
+    bound is below (1 - 1e-9) times the best coarse sample cannot hold
+    the grid maximum and is not evaluated; every other cell is, including
+    one whose bound is not finite. A pump point whose partial fractions
+    miss the exact coarse samples by more than 1e-6 relative, or whose
+    best coarse sample is not finite, keeps all of its cells.
 
     Requires the system to be at the anticrossing (omega_a = omega_b to
     within J/100).
@@ -613,24 +736,33 @@ def pump_regime_map(
             "pump_regime_map requires the modes at the anticrossing "
             f"(|omega_a - omega_b|={abs(wa - wb):g} rad/s exceeds J/100)"
         )
+    stability_double(system, g)  # NonPhysical when the coupling overflows
     omega_c = (wa + wb) / 2.0
     J = system.J
     kmax = max(system.mode_a.kappa, system.mode_b.kappa)
     half_span = J + 4.0 * kmax + 2.0 * g
-    w_grid = np.linspace(-half_span, half_span, 2001)
+    w_grid = np.linspace(-half_span, half_span, _MAP_POINTS)
 
     pump = np.asarray(pump_grid, dtype=float)
     if len(pump) == 0:
         raise ValueError("pump_regime_map requires a non-empty pump grid")
     deltas = omega_c - pump / 2.0
-    drifts = np.array([bare_drift(system, g, d, d) for d in deltas])
-    growth = np.linalg.eigvals(drifts).real.max(axis=-1)  # one stacked solve
+    eigs = np.linalg.eigvals(bare_drift(system, g, deltas, deltas))
+    stable = np.flatnonzero(~(eigs.real.max(axis=-1) >= 0.0))  # skip self-oscillation
+    rates = (system.mode_a.kappa, system.mode_b.kappa, system.mode_a.kappa_e, J, g)
+    peak = np.empty(len(stable), dtype=int)
+    for b in range(0, len(stable), _PUMP_BLOCK):
+        i = stable[b:b + _PUMP_BLOCK]
+        peak[b:b + _PUMP_BLOCK] = _grid_peaks(rates, deltas[i], 1j * eigs[i], w_grid)
+    # refine through the peak and its grid neighbours, -inf beyond the ends
+    near = peak[:, None] + np.arange(-1, 2)
+    inside = (near >= 0) & (near < len(w_grid))
+    window = np.full(near.shape, -np.inf)
+    window[inside] = power_db(_signal_a(
+        *rates, np.broadcast_to(deltas[stable, None], near.shape)[inside],
+        w_grid[near[inside]])[0])
     peak_db = np.full(len(pump), np.nan)
-    ka, kb, kappa_e = system.mode_a.kappa, system.mode_b.kappa, system.mode_a.kappa_e
-    for i in np.flatnonzero(~(growth >= 0.0)):  # skip self-oscillating points
-        _, bm, _, _, upper, den = _bare_kernel(ka, kb, J, g, deltas[i], deltas[i], w_grid)
-        signal_a = kappa_e * bm * upper / den - 1.0
-        peak_db[i] = _refined_peak_height(power_db(np.abs(signal_a) ** 2))
+    peak_db[stable] = _refined_peak_height(window)
 
     finite = np.isfinite(peak_db)
     if not finite.any():

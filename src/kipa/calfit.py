@@ -219,9 +219,24 @@ def _lorentzian(f, peak, f0, fwhm, base):
 # Fits
 # ---------------------------------------------------------------------------
 
-def _require_kind(trace: Trace, kind: str, fit: str) -> None:
+def _require_trace(trace: Trace, kind: str, fit: str, what: str) -> None:
+    """Reject a trace of the wrong kind, or with fewer than the 3 points
+    every fit needs."""
     if trace.kind != kind:
         raise ValueError(f"{fit} requires kind={kind}, got {trace.kind}")
+    if len(trace) < 3:
+        raise ValueError(f"{what} needs at least 3 points")
+
+
+def _linear_power(y_db) -> np.ndarray:
+    """Linear power of a dB trace; NonPhysical where it overflows."""
+    with np.errstate(over="ignore"):
+        y_lin = power_linear(y_db)
+    if not np.isfinite(y_lin).all():
+        raise NonPhysical(
+            f"a gain of {np.max(y_db):g} dB overflows as a linear power"
+        )
+    return y_lin
 
 
 def _width_above(f, y, level) -> float:
@@ -239,7 +254,7 @@ def fit_reflection(trace: Trace, init: dict | None = None) -> FitResult:
     the 1-|S11|^2 dip, eta from the dip depth. Residuals are the stacked
     real and imaginary parts.
     """
-    _require_kind(trace, "reflection", "fit_reflection")
+    _require_trace(trace, "reflection", "fit_reflection", "reflection trace")
     f = trace.x
     y = trace.y
     if init is None:
@@ -276,9 +291,7 @@ def fit_bias_sweep(trace: Trace) -> FitResult:
     Closed form, no iteration. Uncertainties propagate from the
     regression covariance.
     """
-    _require_kind(trace, "bias_shift", "fit_bias_sweep")
-    if len(trace) < 3:
-        raise ValueError("bias sweep needs at least 3 points")
+    _require_trace(trace, "bias_shift", "fit_bias_sweep", "bias sweep")
     i_sq = trace.x.astype(float) ** 2
     design = np.column_stack([np.ones_like(i_sq), i_sq])
     if np.linalg.matrix_rank(design) < 2:
@@ -332,7 +345,7 @@ def _gain_profile_starts(f, y_db, kappa_hint):
     truncated ones) and a direct peak-height heuristic covers clearly
     peaked data; the caller picks the start that best explains the trace.
     """
-    y_lin = power_linear(y_db)
+    y_lin = _linear_power(y_db)
     span = float(f[-1] - f[0])
     deviation = np.abs(y_lin - 1.0)
     fallback_kappa = kappa_hint if kappa_hint else span / 4.0
@@ -419,7 +432,7 @@ def fit_gain_profile(trace: Trace, kappa_hint: float | None = None) -> FitResult
     Raises UnstableFit when the converged pump rate sits on the
     oscillation boundary g = kappa/2 (reported, not clamped).
     """
-    _require_kind(trace, "gain_db", "fit_gain_profile")
+    _require_trace(trace, "gain_db", "fit_gain_profile", "gain profile")
     f = trace.x
     y_db = trace.y.astype(float)
     span = float(f[-1] - f[0])
@@ -482,11 +495,9 @@ def fit_noise_temperature(trace: Trace, omega: float) -> FitResult:
     the intercept. Raises NonPhysical when the fitted n_add is negative
     by more than three standard errors.
     """
-    _require_kind(trace, "noise_psd", "fit_noise_temperature")
+    _require_trace(trace, "noise_psd", "fit_noise_temperature", "noise sweep")
     T = trace.x
     y = trace.y.astype(float)
-    if len(trace) < 3:
-        raise ValueError("noise sweep needs at least 3 points")
     # Rayleigh-Jeans: N ~ G*k_B*T + G*hbar*w*n_add at high T
     upper = T >= np.median(T)
     slope = float(np.polyfit(T[upper], y[upper], 1)[0])
@@ -519,7 +530,7 @@ def fit_lorentzian(trace: Trace) -> FitResult:
     on the grid edge) or more than one prominent peak (double-mode
     spectra must be split before bandwidth extraction).
     """
-    _require_kind(trace, "gain_db", "fit_lorentzian")
+    _require_trace(trace, "gain_db", "fit_lorentzian", "gain trace")
     f = trace.x
     y_db = trace.y.astype(float)
     peaks = ampcore.find_peaks_db(y_db, prominence_db=3.0)
@@ -528,7 +539,7 @@ def fit_lorentzian(trace: Trace) -> FitResult:
     if len(peaks) > 1:
         raise NoPeak(f"{len(peaks)} prominent peaks on the grid; expected one")
     i_peak = peaks[0]
-    y_lin = power_linear(y_db)
+    y_lin = _linear_power(y_db)
     base0 = float(np.percentile(y_lin, 10))
     peak0 = float(y_lin[i_peak])
     half = base0 + (peak0 - base0) / 2.0

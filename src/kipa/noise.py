@@ -20,6 +20,7 @@ def thermal_occupancy(omega: float, T: float) -> float:
     """Bose-Einstein occupancy n(T) = 1/(exp(hbar*w/kT) - 1).
 
     n(T=0) = 0 by definition; satisfies coth(hbar*w/2kT)/2 = n + 1/2.
+    Raises NonPhysical where n ~ kT/(hbar*w) is beyond a double.
     """
     if not omega > 0:
         raise ValueError(f"omega must be > 0, got {omega!r}")
@@ -30,7 +31,14 @@ def thermal_occupancy(omega: float, T: float) -> float:
     x = hbar * omega / (k_B * T)
     if x > 700.0:  # exp would overflow; occupancy is zero to double precision
         return 0.0
-    return 1.0 / math.expm1(x)
+    if x > 0.0:
+        n = 1.0 / math.expm1(x)
+        if n < math.inf:
+            return n
+    # x underflows to 0 (or 1/x overflows): n ~ kT/(hbar w) is beyond a double
+    raise NonPhysical(
+        f"thermal occupancy overflows at T={T:g} K, omega={omega:g} rad/s"
+    )
 
 
 def stage_noise(eta: float, T_dev: float, omega: float) -> float:

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kipa import (
     CoupledSystem,
@@ -23,6 +25,8 @@ from kipa import (
     single_mode_gain,
     stability_double,
 )
+from kipa.ampcore import _bare_kernel, bare_drift
+from kipa.params import power_db
 
 OMEGA0 = 2 * math.pi * 7.133e9
 
@@ -56,6 +60,14 @@ class TestStabilityDouble:
         threshold = stability_double(system, 0.0).threshold
         report = stability_double(system, 0.999 * threshold)
         assert report.stable and report.margin > 0
+
+    def test_overflowing_coupling_is_non_physical(self):
+        from kipa import NonPhysical
+
+        for J in (1e200, 1e300):
+            system = CoupledSystem(make_pair().mode_a, make_pair().mode_b, J=J)
+            with pytest.raises(NonPhysical, match="threshold overflows"):
+                stability_double(system, 0.0)
 
     def test_zero_frequency_divergence_matches_threshold(self):
         # the static coupled response diverges exactly at the threshold
@@ -333,6 +345,136 @@ class TestPumpRegimeMap:
         pump = 2 * OMEGA0 + np.linspace(-0.1, 0.1, 5) * system.mode_a.kappa
         with pytest.raises(UnstableRegime):
             pump_regime_map(system, g, pump)
+
+
+# ---------------------------------------------------------------------------
+# Reference for the regime map: every pump point evaluated on the whole
+# internal grid, and the scalar parabolic refinement
+# ---------------------------------------------------------------------------
+
+def scalar_refined_peak_height(y_db):
+    i = int(np.argmax(y_db))
+    if i == 0 or i == len(y_db) - 1:
+        return float(y_db[i])
+    y0, y1, y2 = y_db[i - 1], y_db[i], y_db[i + 1]
+    if not (np.isfinite(y0) and np.isfinite(y1) and np.isfinite(y2)):
+        return float(y1)
+    curvature = y0 - 2.0 * y1 + y2
+    if curvature >= 0.0:
+        return float(y1)
+    return float(y1 - (y0 - y2) ** 2 / (8.0 * curvature))
+
+
+def reference_peak_gains(system, g, pump_grid):
+    """Peak gains of pump_regime_map, one full-grid evaluation per pump
+    point (NaN where the drift has an eigenvalue with Re >= 0)."""
+    omega_c = (system.mode_a.omega0 + system.mode_b.omega0) / 2.0
+    J = system.J
+    ka, kb = system.mode_a.kappa, system.mode_b.kappa
+    half_span = J + 4.0 * max(ka, kb) + 2.0 * g
+    w_grid = np.linspace(-half_span, half_span, 2001)
+    pump = np.asarray(pump_grid, dtype=float)
+    deltas = omega_c - pump / 2.0
+    drifts = np.array([bare_drift(system, g, d, d) for d in deltas])
+    growth = np.linalg.eigvals(drifts).real.max(axis=-1)
+    peak_db = np.full(len(pump), np.nan)
+    for i in np.flatnonzero(~(growth >= 0.0)):
+        _, bm, _, _, upper, den = _bare_kernel(ka, kb, J, g, deltas[i], deltas[i], w_grid)
+        signal_a = system.mode_a.kappa_e * bm * upper / den - 1.0
+        peak_db[i] = scalar_refined_peak_height(power_db(np.abs(signal_a) ** 2))
+    return peak_db
+
+
+def random_pair(ka_hz, kb_over_ka, eta_a, eta_b, j_over_kappa):
+    ka = 2 * math.pi * ka_hz
+    kb = kb_over_ka * ka
+    mode_a = ResonatorParams(omega0=OMEGA0, kappa_e=eta_a * ka, kappa_i=(1 - eta_a) * ka)
+    mode_b = ResonatorParams(omega0=OMEGA0, kappa_e=eta_b * kb, kappa_i=(1 - eta_b) * kb)
+    return CoupledSystem(mode_a=mode_a, mode_b=mode_b, J=j_over_kappa * ka)
+
+
+class TestRegimeMapEqualsReference:
+    """The coarse-to-fine search gives the full-grid peak gains bit for bit."""
+
+    @pytest.mark.parametrize("frac", [0.0, 0.5, 0.9, 0.99, 1.05, 1.3])
+    @pytest.mark.parametrize("j_over_kappa", [0.3, 3.0, 21.5 / 6])
+    def test_fixed_systems(self, frac, j_over_kappa):
+        system = random_pair(6e6, 1.3, 0.8, 0.9, j_over_kappa)
+        g = frac * pair_threshold(system)
+        half = 6 * system.J + 6 * max(system.mode_a.kappa, system.mode_b.kappa)
+        pump = 2 * OMEGA0 + np.linspace(-half, half, 301)
+        expected = reference_peak_gains(system, g, pump)
+        if not np.isfinite(expected).any():
+            with pytest.raises(UnstableRegime):
+                pump_regime_map(system, g, pump)
+            return
+        result = pump_regime_map(system, g, pump)
+        assert np.array_equal(result.peak_gains_db, expected, equal_nan=True)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        ka_hz=st.floats(3e5, 3e7),
+        kb_over_ka=st.floats(0.5, 2.0),
+        eta_a=st.floats(0.5, 0.99),
+        eta_b=st.floats(0.5, 0.99),
+        j_over_kappa=st.floats(0.3, 30.0),
+        g_frac=st.floats(0.0, 1.3),
+        points=st.integers(1, 120),
+        span=st.floats(0.1, 2.0),
+        offset=st.floats(-1.0, 1.0),
+    )
+    def test_matches_full_grid(self, ka_hz, kb_over_ka, eta_a, eta_b,
+                               j_over_kappa, g_frac, points, span, offset):
+        system = random_pair(ka_hz, kb_over_ka, eta_a, eta_b, j_over_kappa)
+        g = g_frac * pair_threshold(system)
+        half = span * (6 * system.J + 6 * max(system.mode_a.kappa, system.mode_b.kappa))
+        pump = 2 * OMEGA0 + offset * half + np.linspace(-half, half, points)
+        expected = reference_peak_gains(system, g, pump)
+        assume(np.isfinite(expected).any())
+        result = pump_regime_map(system, g, pump)
+        assert np.array_equal(result.peak_gains_db, expected, equal_nan=True)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(rows=st.lists(
+        st.lists(st.sampled_from([-math.inf, -3.0, 0.0, 0.5, 1.0, 2.5, 7.0,
+                                  math.inf, math.nan]), min_size=1, max_size=6)
+        .map(lambda row: row + [0.0] * (6 - len(row)))
+        | st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6),
+        min_size=1, max_size=8))
+    def test_stacked_refinement_matches_scalar(self, rows):
+        from kipa.ampcore import _refined_peak_height
+
+        stack = np.array(rows)
+        expected = [scalar_refined_peak_height(row) for row in stack]
+        assert np.array_equal(_refined_peak_height(stack), expected, equal_nan=True)
+        for row, value in zip(stack, expected):
+            got = _refined_peak_height(row)
+            assert isinstance(got, float)
+            assert got == value or (math.isnan(got) and math.isnan(value))
+
+    def test_stacked_refinement_rounds_like_scalar(self):
+        # the squared spread must round as a float64 scalar's ** 2 (libm
+        # pow), which differs from an array square on ~0.1% of values
+        from kipa.ampcore import _refined_peak_height
+
+        rng = np.random.default_rng(9)
+        stack = rng.uniform(-1.0, -1e-3, (20000, 3))
+        stack[:, 1] = 0.0  # the correction is the whole result
+        expected = [scalar_refined_peak_height(row) for row in stack]
+        assert np.array_equal(_refined_peak_height(stack), expected)
+
+    def test_broadcast_drift_equals_single_drifts(self):
+        system = random_pair(2e6, 0.7, 0.9, 0.6, 4.0)
+        rng = np.random.default_rng(8)
+        da = np.concatenate([rng.normal(size=30) * 1e8, [0.0, -0.0]])
+        db = rng.normal(size=32) * 1e8
+        stack = bare_drift(system, 0.3 * system.mode_a.kappa, da, db, 1.1)
+        assert stack.shape == (32, 4, 4)
+        for i in range(32):
+            single = bare_drift(system, 0.3 * system.mode_a.kappa, float(da[i]),
+                                float(db[i]), 1.1)
+            assert single.shape == (4, 4)
+            assert single.tobytes() == stack[i].tobytes()
 
 
 class TestGainBandwidthProduct:

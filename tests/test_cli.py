@@ -265,6 +265,26 @@ class TestStabilityAndNoise:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["stability", "double-gain", "regime-map"])
+    def test_overflowing_coupling_is_numeric_error(self, capsys, tmp_path, command):
+        doc = json.loads(json.dumps(DEVICE))
+        doc["j_hz"] = 1e300
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, [command, "--config", str(path)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("kipa: coupled-system threshold overflows")
+
+    def test_overflowing_thermal_occupancy_is_numeric_error(self, capsys):
+        code, out, err = run_cli(capsys, [
+            "noise", "--f-hz", "1e-300", "--eta", "0.9", "--g-k", "1e300",
+            "--g-h", "1e300", "--n-h", "1", "--t-k", "1e300", "--t-dev-k", "1e300",
+        ])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("kipa: thermal occupancy overflows")
+
 
 class TestFitCommands:
     def test_fit_resonance_round_trip(self, capsys, tmp_path):
@@ -300,6 +320,35 @@ class TestFitCommands:
         assert code == 2
         assert out == ""
         assert "line 51" in err
+
+    @pytest.mark.parametrize("command, kind, what", [
+        ("fit-resonance", "reflection", "reflection trace"),
+        ("fit-bias", "bias_shift", "bias sweep"),
+        ("fit-gain", "gain_db", "gain profile"),
+        ("fit-noise", "noise_psd", "noise sweep"),
+        ("gbp", "gain_db", "gain trace"),
+    ])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_short_trace_is_validation_error(self, capsys, tmp_path, command,
+                                             kind, what, rows):
+        x = np.array([0.1, 0.2][:rows]) if kind == "noise_psd" else 7e9 + 1e6 * np.arange(rows)
+        y = np.full(rows, 0.5 + 0.1j if kind == "reflection" else 1.0)
+        path = tmp_path / "short.csv"
+        save_trace(Trace(x=x, y=y, kind=kind), path)
+        extra = ["--f-hz", "7e9"] if command == "fit-noise" else []
+        code, out, err = run_cli(capsys, [command, str(path)] + extra)
+        assert code == 2
+        assert out == ""
+        assert err == f"kipa: {what} needs at least 3 points\n"
+
+    def test_overflowing_gain_trace_is_numeric_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        save_trace(Trace(x=7e9 + 1e5 * np.arange(20), y=np.full(20, 1e308),
+                         kind="gain_db"), path)
+        code, out, err = run_cli(capsys, ["fit-gain", str(path)])
+        assert code == 3
+        assert out == ""
+        assert err == "kipa: a gain of 1e+308 dB overflows as a linear power\n"
 
     def test_fit_bias_round_trip(self, capsys, tmp_path):
         currents = np.linspace(0.1e-3, 3e-3, 21)

@@ -62,6 +62,13 @@ class TestThermalOccupancy:
     def test_extreme_ratio_underflows_to_zero(self):
         assert thermal_occupancy(2 * math.pi * 1e12, 1e-6) == 0.0
 
+    @pytest.mark.parametrize("omega, T", [(2 * math.pi * 1e-300, 1e300),
+                                          (1e-320, 1.0)])
+    def test_occupancy_beyond_a_double_is_non_physical(self, omega, T):
+        # hbar*w/kT underflows to 0 or 1/expm1 overflows: n ~ kT/(hbar w)
+        with pytest.raises(NonPhysical, match="thermal occupancy overflows"):
+            thermal_occupancy(omega, T)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             thermal_occupancy(0.0, 1.0)

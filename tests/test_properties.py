@@ -13,6 +13,7 @@ from scipy.signal import find_peaks
 
 from kipa import (
     CoupledSystem,
+    PoleAtFrequency,
     ResonatorParams,
     commutation_residual,
     double_mode_gain_bare,
@@ -143,6 +144,64 @@ def test_double_threshold_scales_with_cooperativity():
             j_small, 0.0
         ).threshold
         assert stability_double(j_small, 0.0).threshold >= mode_a.kappa / 2
+
+
+def drawn_pair(kappa_hz, kb_over_ka, eta_a, eta_b, j_over_kappa):
+    ka = 2 * math.pi * kappa_hz
+    kb = kb_over_ka * ka
+    omega0 = 2 * math.pi * 7e9
+    return CoupledSystem(
+        ResonatorParams(omega0=omega0, kappa_e=eta_a * ka, kappa_i=(1 - eta_a) * ka),
+        ResonatorParams(omega0=omega0, kappa_e=eta_b * kb, kappa_i=(1 - eta_b) * kb),
+        J=j_over_kappa * ka,
+    )
+
+
+_PAIRS = st.builds(
+    drawn_pair,
+    kappa_hz=st.floats(3e5, 3e7),
+    kb_over_ka=st.floats(0.5, 2.0),
+    eta_a=st.floats(0.5, 1.0),
+    eta_b=st.floats(0.5, 1.0),
+    j_over_kappa=st.floats(0.0, 30.0),
+)
+_OFFSETS = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=40, unique=True).map(sorted)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(system=_PAIRS, g_frac=st.floats(0.0, 0.99), delta=st.floats(-3.0, 3.0),
+       phi_p=st.floats(-math.pi, math.pi), offsets=_OFFSETS)
+def test_bare_gain_mirror_identity(system, g_frac, delta, phi_p, offsets):
+    # every factor of S_a(-w; -delta) is the conjugate of that of
+    # S_a(w; delta), so the power gain is the same to the last bit (in
+    # linear units: a critically coupled resonance has S_a = 0 exactly)
+    kappa = system.mode_a.kappa
+    g = g_frac * stability_double(system, 0.0).threshold
+    w = np.array(offsets) * kappa
+    d = delta * kappa
+    try:
+        gains = double_mode_gain_bare(system, g, d, d, phi_p, w).signal_a.power
+    except PoleAtFrequency:
+        return
+    mirrored = double_mode_gain_bare(system, g, -d, -d, phi_p, -w[::-1])
+    assert np.array_equal(mirrored.signal_a.power[::-1], gains)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(system=_PAIRS, g_frac=st.floats(0.0, 0.99), delta_a=st.floats(-3.0, 3.0),
+       delta_b=st.floats(-3.0, 3.0), phi_p=st.floats(-math.pi, math.pi),
+       offsets=_OFFSETS)
+def test_uncoupled_bare_signal_is_single_mode(system, g_frac, delta_a, delta_b,
+                                              phi_p, offsets):
+    res = system.mode_a
+    uncoupled = CoupledSystem(res, system.mode_b, J=0.0)
+    g = g_frac * res.kappa / 2
+    w = np.array(offsets) * res.kappa
+    bare = double_mode_gain_bare(uncoupled, g, delta_a * res.kappa,
+                                 delta_b * res.kappa, phi_p, w)
+    signal, _ = single_mode_gain(res, g, delta_a * res.kappa, phi_p, w)
+    # relative to the unit scale of S_a + 1, which S_a = 0 does not have
+    assert np.allclose(bare.signal_a.values, signal.values, rtol=1e-12, atol=1e-12)
 
 
 # beyond +-1e300 the difference of two samples overflows to inf and
