@@ -98,7 +98,12 @@ class DoubleModeStability:
 
 def stability_single(res: ResonatorParams, g: float) -> SingleModeStability:
     """Single-mode oscillation threshold: stable iff g < kappa/2."""
-    threshold = res.kappa / 2.0
+    return _single_stability(res.kappa, g)
+
+
+def _single_stability(kappa, g) -> SingleModeStability:
+    """:func:`stability_single` at rate level; arguments broadcast."""
+    threshold = kappa / 2.0
     return SingleModeStability(
         stable=g < threshold, margin=threshold - g, threshold=threshold
     )
@@ -112,16 +117,21 @@ def stability_double(system: CoupledSystem, g: float) -> DoubleModeStability:
     at the anticrossing the finite-frequency pair-oscillation threshold
     :func:`pair_threshold` can be lower and is then the binding one.
     """
-    ka = system.mode_a.kappa
-    kb = system.mode_b.kappa
-    try:
-        c0 = 4.0 * system.J**2 / (ka * kb)
-    except OverflowError:
-        c0 = math.inf
-    threshold = ka * (1.0 + c0) / 2.0
-    if not math.isfinite(threshold):
+    stab = _double_stability(system.mode_a.kappa, system.mode_b.kappa, system.J, g)
+    return DoubleModeStability(**{name: v.item() for name, v in vars(stab).items()})
+
+
+def _double_stability(kappa_a, kappa_b, J, g) -> DoubleModeStability:
+    """:func:`stability_double` at rate level, with numpy fields; arguments
+    broadcast. Raises NonPhysical at the first threshold that overflows."""
+    with np.errstate(over="ignore"):
+        c0 = 4.0 * _squares(J) / (kappa_a * kappa_b)
+        threshold = kappa_a * (1.0 + c0) / 2.0
+    bad = np.flatnonzero(~np.isfinite(threshold))
+    if len(bad):
+        J, ka, kb = (v.flat[bad[0]] for v in np.broadcast_arrays(J, kappa_a, kappa_b))
         raise NonPhysical(
-            f"coupled-system threshold overflows: J={system.J:g} rad/s against "
+            f"coupled-system threshold overflows: J={J:g} rad/s against "
             f"kappa_a={ka:g}, kappa_b={kb:g} rad/s"
         )
     return DoubleModeStability(
@@ -130,16 +140,30 @@ def stability_double(system: CoupledSystem, g: float) -> DoubleModeStability:
     )
 
 
-def _require_stable(stab, g: float) -> None:
-    """Raise UnstableRegime when g is at or above the threshold of ``stab``
-    (a SingleModeStability or DoubleModeStability): the closed forms then
-    describe self-oscillation, not amplification."""
-    if stab.stable:
+def _squares(x) -> np.ndarray:
+    """x**2 per element as Python squares a float, by libm pow (numpy's
+    array square can round the last bit the other way). From |x| = 1e154
+    on it multiplies instead: pow raises OverflowError past ~1.34e154,
+    where x*x is inf."""
+    squares = [v**2 if abs(v) < 1e154 else v * v for v in np.ravel(x).tolist()]
+    return np.array(squares).reshape(np.shape(x))
+
+
+def _require_stable(stab, g) -> None:
+    """Raise UnstableRegime at the first working point where g is at or
+    above the threshold of ``stab`` (a SingleModeStability or
+    DoubleModeStability, for one working point or arrays of them): the
+    closed forms then describe self-oscillation, not amplification."""
+    if stab.stable is True:  # one stable working point: no array test
         return
+    bad = np.flatnonzero(np.logical_not(stab.stable))
+    if not len(bad):
+        return
+    g, threshold = (v.flat[bad[0]] for v in np.broadcast_arrays(g, stab.threshold))
     where = ("oscillation threshold kappa/2=" if isinstance(stab, SingleModeStability)
              else "coupled-system threshold ")
     raise UnstableRegime(
-        f"g={g:g} rad/s is at or above the {where}{stab.threshold:g} rad/s"
+        f"g={g:g} rad/s is at or above the {where}{threshold:g} rad/s"
     )
 
 
@@ -310,15 +334,16 @@ def hybridize(system: CoupledSystem, form: str = "as_printed") -> HybridModes:
     )
 
 
-def _hybrid_rates(system: CoupledSystem) -> tuple[float, float, float, float]:
-    """Extrinsic/intrinsic rates of the 50/50 hybridized modes.
+def _hybrid_rates(kappa_ae, kappa_ai, kappa_be, kappa_bi):
+    """Extrinsic/intrinsic rates of the 50/50 hybridized modes from those
+    of the bare modes; arguments broadcast.
 
     At the anticrossing each collective mode carries half of each bare
     mode, so kappa_+-^(e/i) = (kappa_a^(e/i) + kappa_b^(e/i)) / 2 and the
     two collective modes share the same damping.
     """
-    ke = (system.mode_a.kappa_e + system.mode_b.kappa_e) / 2.0
-    ki = (system.mode_a.kappa_i + system.mode_b.kappa_i) / 2.0
+    ke = (kappa_ae + kappa_be) / 2.0
+    ki = (kappa_ai + kappa_bi) / 2.0
     return ke, ki, ke, ki  # (plus_e, plus_i, minus_e, minus_i)
 
 
@@ -333,8 +358,14 @@ def pair_threshold(system: CoupledSystem) -> float:
     threshold is the binding one whenever it lies below the
     zero-frequency bound of :func:`stability_double`.
     """
-    kpe, kpi, kme, kmi = _hybrid_rates(system)
-    return math.sqrt((kpe + kpi) * (kme + kmi))
+    a, b = system.mode_a, system.mode_b
+    return float(_pair_threshold(a.kappa_e, a.kappa_i, b.kappa_e, b.kappa_i))
+
+
+def _pair_threshold(kappa_ae, kappa_ai, kappa_be, kappa_bi):
+    """:func:`pair_threshold` at rate level; arguments broadcast."""
+    kpe, kpi, kme, kmi = _hybrid_rates(kappa_ae, kappa_ai, kappa_be, kappa_bi)
+    return np.sqrt((kpe + kpi) * (kme + kmi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,7 +402,8 @@ def double_mode_gain_hybrid(
     (the bare-mode forms in :func:`double_mode_gain_bare` keep them).
     """
     _require_stable(stability_double(system, g), g)
-    kpe, kpi, kme, kmi = _hybrid_rates(system)
+    a, b = system.mode_a, system.mode_b
+    kpe, kpi, kme, kmi = _hybrid_rates(a.kappa_e, a.kappa_i, b.kappa_e, b.kappa_i)
     kp, km = kpe + kpi, kme + kmi
     if not 2.0 * system.J > max(kp, km, g):
         warnings.warn(
@@ -472,10 +504,14 @@ def _bare_factors(kappa_a, kappa_b, kappa_ae, kappa_be, J, g, delta_a,
                   delta_b, phi_p, w):
     """(signal_a, idler_a, signal_b, idler_b) of
     :func:`double_mode_gain_bare` at ``w``; arguments broadcast. Raises
+    NonPhysical where the denominator or its scale overflows, and
     PoleAtFrequency at the first pole; stability is the caller's check."""
-    am, bm, bp, lower, upper, den = _bare_kernel(kappa_a, kappa_b, J, g,
-                                                 delta_a, delta_b, w)
-    scale = np.abs(lower) * np.abs(upper) + g**2 * np.abs(bm) * np.abs(bp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        am, bm, bp, lower, upper, den = _bare_kernel(kappa_a, kappa_b, J, g,
+                                                     delta_a, delta_b, w)
+        scale = np.abs(lower) * np.abs(upper) + g**2 * np.abs(bm) * np.abs(bp)
+    if not (np.isfinite(den).all() and np.isfinite(scale).all()):
+        raise NonPhysical(f"bare gain denominator overflows (J up to {np.max(J):g} rad/s)")
     _require_no_pole(den, scale, w, "bare gain")
     cross = g * J * np.exp(1j * phi_p) * np.sqrt(kappa_ae * kappa_be)
     signal_a = kappa_ae * bm * upper / den - 1.0
@@ -498,17 +534,22 @@ def bare_drift(system: CoupledSystem, g: float, delta_a=0.0, delta_b=0.0,
     stacks one 4x4 matrix per element (shape ``(..., 4, 4)``).
     """
     a, b = system.mode_a, system.mode_b
-    J = system.J
-    gp = 1j * g * cmath.exp(1j * phi_p)  # a-row coupling is -gp, a+-row is +conj(-gp)
+    return _pair_drift(a.kappa, b.kappa, system.J, g, delta_a, delta_b, phi_p)
+
+
+def _pair_drift(kappa_a, kappa_b, J, g, delta_a, delta_b, phi_p) -> np.ndarray:
+    """:func:`bare_drift` at rate level; every argument may be an array,
+    they broadcast, and the result has shape ``(..., 4, 4)``."""
+    # a-row coupling is -gp, a+-row is +conj(-gp); formed on Python complex
+    # numbers, as numpy's exp does not match cmath.exp bit for bit
+    gp = np.vectorize(lambda x, p: 1j * x * cmath.exp(1j * p), otypes=[complex])(g, phi_p)
     rows = [
-        [-(1j * delta_a + a.kappa / 2.0), -1j * J, -gp, 0.0],
-        [-1j * J, -(1j * delta_b + b.kappa / 2.0), 0.0, 0.0],
-        [-np.conj(gp), 0.0, 1j * delta_a - a.kappa / 2.0, 1j * J],
-        [0.0, 0.0, 1j * J, 1j * delta_b - b.kappa / 2.0],
+        [-(1j * delta_a + kappa_a / 2.0), -1j * J, -gp, 0.0],
+        [-1j * J, -(1j * delta_b + kappa_b / 2.0), 0.0, 0.0],
+        [-np.conj(gp), 0.0, 1j * delta_a - kappa_a / 2.0, 1j * J],
+        [0.0, 0.0, 1j * J, 1j * delta_b - kappa_b / 2.0],
     ]
-    if not isinstance(delta_a, np.ndarray) and not isinstance(delta_b, np.ndarray):
-        return np.array(rows, dtype=complex)  # one matrix, ~3x faster than below
-    shape = np.broadcast_shapes(np.shape(delta_a), np.shape(delta_b))
+    shape = np.broadcast_shapes(*(np.shape(v) for row in rows for v in row))
     entries = [[np.broadcast_to(v, shape) for v in row] for row in rows]
     return np.moveaxis(np.array(entries, dtype=complex), (0, 1), (-2, -1))
 
@@ -586,9 +627,7 @@ def _refined_peak_height(y_db):
     curvature = y0[fit] - 2.0 * y1[fit] + y2[fit]
     concave = curvature < 0.0
     top = fit[concave]
-    # squared on Python floats (libm pow, like a numpy float64 scalar);
-    # numpy's array square can round the last bit the other way
-    spread = np.array([d ** 2 for d in (y0[top] - y2[top]).tolist()])
+    spread = _squares(y0[top] - y2[top])
     out[top] = y1[top] - spread / (8.0 * curvature[concave])
     out = out.reshape(y.shape[:-1])
     return float(out) if out.ndim == 0 else out

@@ -204,9 +204,6 @@ def _gain_model_db(f_hz, g_hz, kappa_e_hz, kappa_i_hz, f_center):
 
 
 def _noise_model(T, g_tot, n_add, omega):
-    T = np.asarray(T, dtype=float)
-    if np.any(T <= 0):
-        raise ValueError("temperatures must be > 0 for the noise model")
     x = hbar * omega / (2.0 * k_B * T)
     return g_tot * hbar * omega * (0.5 / np.tanh(x) + n_add)
 
@@ -497,6 +494,8 @@ def fit_noise_temperature(trace: Trace, omega: float) -> FitResult:
     """
     _require_trace(trace, "noise_psd", "fit_noise_temperature", "noise sweep")
     T = trace.x
+    if np.any(T <= 0):
+        raise ValueError("temperatures must be > 0 for the noise model")
     y = trace.y.astype(float)
     # Rayleigh-Jeans: N ~ G*k_B*T + G*hbar*w*n_add at high T
     upper = T >= np.median(T)

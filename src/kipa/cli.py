@@ -348,7 +348,7 @@ def cmd_fit_noise(args) -> int:
 
 def cmd_gbp(args) -> int:
     trace = datio.load_trace(args.trace, "gain_db")
-    amplitudes = np.sqrt(10.0 ** (trace.y.astype(float) / 10.0))
+    amplitudes = np.sqrt(calfit._linear_power(trace.y.astype(float)))
     spectrum = ComplexSpectrum(hz_to_angular(trace.x), amplitudes.astype(complex))
     result = ampcore.gain_bandwidth_product(spectrum)
     _print_record(args, {

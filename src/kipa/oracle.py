@@ -4,8 +4,8 @@ Two routes, both free of the closed forms:
 
 * a frequency-domain transfer-matrix solve M(w) = C A(w)^-1 B - D built
   directly from the linear equations of motion (the seeded sweep
-  :func:`transfer_equivalence` makes all its draws first and solves them
-  as one stack), and
+  :func:`transfer_equivalence` draws each field of all its working points
+  as one array and solves them as one stack), and
 * a time-domain fixed-step integration of the classical (mean-field)
   equation of motion, demodulated in steady state.
 
@@ -24,8 +24,8 @@ import numpy as np
 
 from . import ampcore
 from .errors import NotSettled, SingularAt
-from .params import CoupledSystem, ResonatorParams, _require_finite
-from .prng import SplitMix64
+from .params import TWO_PI, CoupledSystem, ResonatorParams, _require_finite
+from .prng import uniforms
 
 _COND_LIMIT = 1e12
 
@@ -74,24 +74,8 @@ def single_mode_matrices(
     res: ResonatorParams, g: float, delta: float = 0.0, phi_p: float = 0.0
 ) -> SystemMatrices:
     """Matrices of the single pumped mode, state [a, a+]."""
-    k = res.kappa
-    gp = 1j * g * cmath.exp(1j * phi_p)  # a-row coupling is -gp, a+-row is +conj(-gp)
-    drift = np.array(
-        [
-            [-(1j * delta + k / 2.0), -gp],
-            [-np.conj(gp), 1j * delta - k / 2.0],
-        ],
-        dtype=complex,
-    )
-    se, si = math.sqrt(res.kappa_e), math.sqrt(res.kappa_i)
-    B = np.array(
-        [[se, si, 0.0, 0.0], [0.0, 0.0, se, si]], dtype=complex
-    )
-    C = se * np.eye(2, dtype=complex)
-    D = np.zeros((2, 4))
-    D[0, 0] = 1.0
-    D[1, 2] = 1.0
-    return SystemMatrices(drift=drift, B=B, C=C, D=D)
+    return SystemMatrices(_single_drift(res.kappa, g, delta, phi_p),
+                          *_io_matrices([res.kappa_e], [res.kappa_i]))
 
 
 def double_mode_matrices(
@@ -104,18 +88,26 @@ def double_mode_matrices(
     """Matrices of the coupled pair, state [a, b, a+, b+]; the parametric
     drive acts on mode a only."""
     a, b = system.mode_a, system.mode_b
-    drift = ampcore.bare_drift(system, g, delta_a, delta_b, phi_p)
-    sae, sai = math.sqrt(a.kappa_e), math.sqrt(a.kappa_i)
-    sbe, sbi = math.sqrt(b.kappa_e), math.sqrt(b.kappa_i)
-    B = np.zeros((4, 8), dtype=complex)
-    B[0, 0], B[0, 1] = sae, sai
-    B[1, 2], B[1, 3] = sbe, sbi
-    B[2, 4], B[2, 5] = sae, sai
-    B[3, 6], B[3, 7] = sbe, sbi
-    C = np.diag([sae, sbe, sae, sbe]).astype(complex)
-    D = np.zeros((4, 8))
-    D[0, 0], D[1, 2], D[2, 4], D[3, 6] = 1.0, 1.0, 1.0, 1.0
-    return SystemMatrices(drift=drift, B=B, C=C, D=D)
+    return SystemMatrices(ampcore.bare_drift(system, g, delta_a, delta_b, phi_p),
+                          *_io_matrices([a.kappa_e, b.kappa_e], [a.kappa_i, b.kappa_i]))
+
+
+def _single_drift(kappa, g, delta, phi_p) -> np.ndarray:
+    """Drift of one pumped mode, state [a, a+]: the [a, a+] block of the
+    pair drift at J = 0. Arguments broadcast, shape ``(..., 2, 2)``."""
+    return ampcore._pair_drift(kappa, kappa, 0.0, g, delta, delta, phi_p)[..., ::2, ::2]
+
+
+def _io_matrices(kappa_e, kappa_i):
+    """(B, C, D) of n modes from their extrinsic and intrinsic rates along
+    the last axis (shape ``(..., n)``; leading axes stack systems): state
+    row r couples to inputs 2r (extrinsic) and 2r + 1 (intrinsic)."""
+    se, si = (np.sqrt(np.concatenate([k, k], axis=-1))[..., None]
+              for k in (kappa_e, kappa_i))
+    n2 = se.shape[-2]
+    ports = np.eye(2 * n2, dtype=complex)
+    B = se * ports[::2] + si * ports[1::2]
+    return B, se * np.eye(n2, dtype=complex), np.eye(2 * n2)[::2]
 
 
 def matrix_transfer(sysm: SystemMatrices, omega: float) -> np.ndarray:
@@ -280,8 +272,8 @@ def _steady_output(run: TimeDomainRun, amp: complex) -> complex:
     res, g = run.res, run.g
     wd = run.drive_freq
     sqrt_ke = math.sqrt(res.kappa_e)
-    decay = 1j * run.delta + res.kappa / 2.0
-    pump = 1j * g * cmath.exp(1j * run.phi_p)
+    # da/dt = decay*a + pump*conj(a) + drive: the a row of the mode's drift
+    decay, pump = _single_drift(res.kappa, g, run.delta, run.phi_p)[0].tolist()
 
     # step commensurate with the drive period; even number of whole
     # periods in the sample window so the half-window check is unbiased
@@ -298,10 +290,9 @@ def _steady_output(run: TimeDomainRun, amp: complex) -> complex:
         n_window += n_window % 2
     n_settle = math.ceil(run.settle_time / h)
 
-    # RK4 on da/dt = -decay*a - pump*conj(a) + sqrt_ke*amp*exp(-i wd t),
-    # inlined; each drive phasor is computed once and reused (t + h of one
-    # step is the t of the next, and the output sample at t uses it too)
-    neg_decay = -decay
+    # RK4 with drive = sqrt_ke*amp*exp(-i wd t), inlined; each drive phasor
+    # is computed once and reused (t + h of one step is the t of the next,
+    # and the output sample at t uses it too)
     rot = -1j * wd
     h2, h6 = h / 2.0, h / 6.0
     n_total = n_settle + n_window
@@ -320,13 +311,13 @@ def _steady_output(run: TimeDomainRun, amp: complex) -> complex:
         drive_mid = sqrt_ke * (amp * cmath.exp(rot * (t + h2)))
         s_in_next = amp * cmath.exp(rot * (t + h))
         drive_next = sqrt_ke * s_in_next
-        k1 = neg_decay * a - pump * a.conjugate() + drive
+        k1 = decay * a + pump * a.conjugate() + drive
         b = a + h2 * k1
-        k2 = neg_decay * b - pump * b.conjugate() + drive_mid
+        k2 = decay * b + pump * b.conjugate() + drive_mid
         b = a + h2 * k2
-        k3 = neg_decay * b - pump * b.conjugate() + drive_mid
+        k3 = decay * b + pump * b.conjugate() + drive_mid
         b = a + h * k3
-        k4 = neg_decay * b - pump * b.conjugate() + drive_next
+        k4 = decay * b + pump * b.conjugate() + drive_next
         a = a + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
         s_in, drive = s_in_next, drive_next
@@ -392,143 +383,97 @@ def time_domain_gain(run: TimeDomainRun) -> TimeDomainGain:
 
 
 # ---------------------------------------------------------------------------
-# Seeded random stable draws (shared by the oracle-check subcommand and
-# the equivalence test sweeps)
+# Seeded random stable draws (the oracle-check subcommand)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SingleModeCase:
-    res: ResonatorParams
-    g: float
-    delta: float
-    phi_p: float
-    omega: float
-
-
-@dataclass(frozen=True)
-class DoubleModeCase:
-    system: CoupledSystem
-    g: float
-    delta_a: float
-    delta_b: float
-    phi_p: float
-    omega: float
-
-
-def draw_single_case(rng: SplitMix64) -> SingleModeCase:
-    """Random stable single-mode working point; eta spans [0.5, 1)."""
-    kappa_e = 2.0 * math.pi * 10.0 ** rng.uniform(5.0, 8.0)
-    kappa_i = kappa_e * rng.uniform(0.0, 1.0)
-    res = ResonatorParams(
-        omega0=2.0 * math.pi * rng.uniform(4e9, 9e9),
-        kappa_e=kappa_e, kappa_i=kappa_i,
-    )
-    k = res.kappa
-    g = rng.uniform(0.0, 0.98) * k / 2.0
-    return SingleModeCase(
-        res=res,
-        g=g,
-        delta=rng.uniform(-2.0, 2.0) * k,
-        phi_p=rng.uniform(0.0, 2.0 * math.pi),
-        omega=rng.uniform(-3.0, 3.0) * k,
-    )
-
-
-def draw_double_case(rng: SplitMix64) -> DoubleModeCase:
-    """Random stable coupled-pair working point.
-
-    The pump rate stays below both the coupled-system threshold and the
-    collective-pair threshold so that no real-frequency pole can sit on
-    the sampled axis.
-    """
-    def mode() -> ResonatorParams:
-        kappa_e = 2.0 * math.pi * 10.0 ** rng.uniform(5.0, 8.0)
-        return ResonatorParams(
-            omega0=2.0 * math.pi * rng.uniform(4e9, 9e9),
-            kappa_e=kappa_e,
-            kappa_i=kappa_e * rng.uniform(0.0, 1.0),
-        )
-
-    mode_a, mode_b = mode(), mode()
-    J = mode_a.kappa * 10.0 ** rng.uniform(-0.5, 1.5)
-    system = CoupledSystem(mode_a=mode_a, mode_b=mode_b, J=J)
-    g_cap = min(
-        ampcore.stability_double(system, 0.0).threshold,
-        ampcore.pair_threshold(system),
-    )
-    return DoubleModeCase(
-        system=system,
-        g=rng.uniform(0.0, 0.9) * g_cap,
-        delta_a=rng.uniform(-2.0, 2.0) * mode_a.kappa,
-        delta_b=rng.uniform(-2.0, 2.0) * mode_b.kappa,
-        phi_p=rng.uniform(0.0, 2.0 * math.pi),
-        omega=rng.uniform(-1.0, 1.0) * (2.0 * J + 2.0 * mode_a.kappa),
-    )
-
 
 def transfer_equivalence(draws: int, seed: int) -> dict:
     """Max relative error between the closed-form gain factors and the
     transfer-matrix solve over seeded random stable draws.
 
     Each draw checks the single-mode signal/idler pair and all four
-    bare-mode gain factors of an independently drawn coupled pair. All
-    cases are drawn first (single, double, single, ... from one
-    SplitMix64 stream); the closed forms are then evaluated over all
-    draws at once and the transfer matrices solved as one stack per
-    mode count.
+    bare-mode gain factors of an independently drawn coupled pair. Draw k
+    takes outputs 19k .. 19k + 18 of one SplitMix64 stream: 7 for the
+    single mode, then 12 for the pair. Each field is one column of the
+    (draws, 19) array of those outputs, so every draw is made at once; the
+    closed forms are evaluated over all draws at once and the transfer
+    matrices solved as one stack per mode count.
     """
-    rng = SplitMix64(seed)
-    singles, doubles = [], []
-    for _ in range(draws):
-        singles.append(draw_single_case(rng))
-        doubles.append(draw_double_case(rng))
     report = {"draws": draws, "seed": seed,
               "max_rel_err_single": 0.0, "max_rel_err_double": 0.0}
-    if not singles:
+    if draws <= 0:
         return report
-    for c in singles:
-        ampcore._require_stable(ampcore.stability_single(c.res, c.g), c.g)
-    for c in doubles:
-        ampcore._require_stable(ampcore.stability_double(c.system, c.g), c.g)
+    columns = iter(uniforms(seed, 19 * draws).reshape(draws, 19).T)
 
-    kappa, eta = _columns([c.res for c in singles], "kappa", "eta")
-    g, delta, phi_p, omega = _columns(singles, "g", "delta", "phi_p", "omega")
-    m = _stacked_transfer(
-        [single_mode_matrices(c.res, c.g, c.delta, c.phi_p) for c in singles], omega
-    )
+    def uniform(low, high):
+        return low + (high - low) * next(columns)
+
+    def log_uniform(low, high):
+        # Python's 10.0 ** x per draw: np.power does not match it bit for bit
+        return np.array([10.0 ** x for x in uniform(low, high).tolist()])
+
+    # single mode; eta spans [0.5, 1)
+    kappa_e = TWO_PI * log_uniform(5.0, 8.0)
+    kappa_i = kappa_e * uniform(0.0, 1.0)
+    omega0 = TWO_PI * uniform(4e9, 9e9)
+    kappa = kappa_e + kappa_i
+    g = uniform(0.0, 0.98) * kappa / 2.0
+    delta = uniform(-2.0, 2.0) * kappa
+    phi_p = uniform(0.0, TWO_PI)
+    omega = uniform(-3.0, 3.0) * kappa
+    _require_valid(ResonatorParams, omega0, kappa_e, kappa_i)
+
+    # coupled pair; the pump rate stays below both the coupled-system
+    # threshold and the collective-pair threshold so that no
+    # real-frequency pole can sit on the sampled axis
+    modes = []
+    for _ in range(2):
+        mode_e = TWO_PI * log_uniform(5.0, 8.0)
+        modes.append((TWO_PI * uniform(4e9, 9e9), mode_e, mode_e * uniform(0.0, 1.0)))
+    (_, kappa_ae, kappa_ai), (_, kappa_be, kappa_bi) = modes
+    kappa_a, kappa_b = kappa_ae + kappa_ai, kappa_be + kappa_bi
+    J = kappa_a * log_uniform(-0.5, 1.5)
+    _require_valid(lambda wa, kae, kai, wb, kbe, kbi, j: CoupledSystem(
+        ResonatorParams(wa, kae, kai), ResonatorParams(wb, kbe, kbi), j),
+        *modes[0], *modes[1], J)
+    g_cap = np.minimum(ampcore._double_stability(kappa_a, kappa_b, J, 0.0).threshold,
+                       ampcore._pair_threshold(kappa_ae, kappa_ai, kappa_be, kappa_bi))
+    g2 = uniform(0.0, 0.9) * g_cap
+    delta_a = uniform(-2.0, 2.0) * kappa_a
+    delta_b = uniform(-2.0, 2.0) * kappa_b
+    phi_p2 = uniform(0.0, TWO_PI)
+    omega2 = uniform(-1.0, 1.0) * (2.0 * J + 2.0 * kappa_a)
+
+    ampcore._require_stable(ampcore._single_stability(kappa, g), g)
+    ampcore._require_stable(ampcore._double_stability(kappa_a, kappa_b, J, g2), g2)
+
+    m = _transfer(_single_drift(kappa, g, delta, phi_p),
+                  *_io_matrices(kappa_e[:, None], kappa_i[:, None]), omega)
     report["max_rel_err_single"] = _max_rel_err(
-        ampcore._single_mode_factors(kappa, eta, g, delta, phi_p, omega),
+        ampcore._single_mode_factors(kappa, kappa_e / kappa, g, delta, phi_p, omega),
         m, (SINGLE_SIGNAL, SINGLE_IDLER),
     )
-
-    systems = [c.system for c in doubles]
-    kappa_a, kappa_ae = _columns([s.mode_a for s in systems], "kappa", "kappa_e")
-    kappa_b, kappa_be = _columns([s.mode_b for s in systems], "kappa", "kappa_e")
-    J = np.array([s.J for s in systems])
-    g, delta_a, delta_b, phi_p, omega = _columns(
-        doubles, "g", "delta_a", "delta_b", "phi_p", "omega"
-    )
-    m = _stacked_transfer(
-        [double_mode_matrices(c.system, c.g, c.delta_a, c.delta_b, c.phi_p)
-         for c in doubles],
-        omega,
+    m = _transfer(
+        ampcore._pair_drift(kappa_a, kappa_b, J, g2, delta_a, delta_b, phi_p2),
+        *_io_matrices(np.stack([kappa_ae, kappa_be], axis=-1),
+                      np.stack([kappa_ai, kappa_bi], axis=-1)),
+        omega2,
     )
     report["max_rel_err_double"] = _max_rel_err(
-        ampcore._bare_factors(kappa_a, kappa_b, kappa_ae, kappa_be, J, g,
-                              delta_a, delta_b, phi_p, omega),
+        ampcore._bare_factors(kappa_a, kappa_b, kappa_ae, kappa_be, J, g2,
+                              delta_a, delta_b, phi_p2, omega2),
         m, (DOUBLE_A_SIGNAL, DOUBLE_A_IDLER, DOUBLE_B_SIGNAL, DOUBLE_B_IDLER),
     )
     return report
 
 
-def _columns(items, *names: str) -> list[np.ndarray]:
-    """One array per attribute name, over ``items``."""
-    return [np.array([getattr(item, name) for item in items]) for name in names]
-
-
-def _stacked_transfer(matrices: list[SystemMatrices], omega) -> np.ndarray:
-    """M(w) of every system, by one stacked solve."""
-    return _transfer(*_columns(matrices, "drift", "B", "C", "D"), omega)
+def _require_valid(build, *rates) -> None:
+    """The value types' checks as array comparisons: calls ``build`` (the
+    value types of one draw, from its rates as floats) on each draw with a
+    rate that is not finite and > 0, so that it raises the ValueError of
+    the first draw the value types reject (kappa_i and J may be 0)."""
+    positive = np.logical_and.reduce([np.isfinite(v) & (v > 0) for v in rates])
+    for i in np.flatnonzero(~positive):
+        build(*(v[i].item() for v in rates))
 
 
 def _max_rel_err(closed, m: np.ndarray, entries) -> float:

@@ -265,16 +265,25 @@ class TestStabilityAndNoise:
         ])
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["stability", "double-gain", "regime-map"])
-    def test_overflowing_coupling_is_numeric_error(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize("command, j_hz, message", [
+        pytest.param(command, 1e300, "coupled-system threshold overflows", id=command)
+        for command in ("stability", "double-gain", "regime-map")
+    ] + [
+        # the threshold is finite, the bare gain denominator is not
+        pytest.param("double-gain", 1e150, "bare gain denominator overflows",
+                     id="double-gain-denominator"),
+    ])
+    def test_overflowing_coupling_is_numeric_error(self, capsys, tmp_path, command,
+                                                   j_hz, message):
         doc = json.loads(json.dumps(DEVICE))
-        doc["j_hz"] = 1e300
+        doc["j_hz"] = j_hz
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run_cli(capsys, [command, "--config", str(path)])
         assert code == 3
         assert out == ""
-        assert err.startswith("kipa: coupled-system threshold overflows")
+        assert err.startswith(f"kipa: {message}")
+        assert "Warning" not in err
 
     def test_overflowing_thermal_occupancy_is_numeric_error(self, capsys):
         code, out, err = run_cli(capsys, [
@@ -341,14 +350,24 @@ class TestFitCommands:
         assert out == ""
         assert err == f"kipa: {what} needs at least 3 points\n"
 
-    def test_overflowing_gain_trace_is_numeric_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["fit-gain", "gbp"])
+    def test_overflowing_gain_trace_is_numeric_error(self, capsys, tmp_path, command):
         path = tmp_path / "huge.csv"
         save_trace(Trace(x=7e9 + 1e5 * np.arange(20), y=np.full(20, 1e308),
                          kind="gain_db"), path)
-        code, out, err = run_cli(capsys, ["fit-gain", str(path)])
+        code, out, err = run_cli(capsys, [command, str(path)])
         assert code == 3
         assert out == ""
         assert err == "kipa: a gain of 1e+308 dB overflows as a linear power\n"
+
+    def test_fit_noise_rejects_zero_kelvin_row(self, capsys, tmp_path):
+        T = np.array([0.0, 0.05, 0.1, 0.2, 0.4, 0.8, 1.6])
+        path = tmp_path / "zero_k.csv"
+        save_trace(Trace(x=T, y=1e-22 * (1.0 + T), kind="noise_psd"), path)
+        code, out, err = run_cli(capsys, ["fit-noise", str(path), "--f-hz", "7e9"])
+        assert code == 2
+        assert out == ""
+        assert err == "kipa: temperatures must be > 0 for the noise model\n"
 
     def test_fit_bias_round_trip(self, capsys, tmp_path):
         currents = np.linspace(0.1e-3, 3e-3, 21)

@@ -1,6 +1,7 @@
 """Transfer-matrix and time-domain verification machinery."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from kipa import (
     double_mode_matrices,
     make_run,
     matrix_transfer,
+    pair_threshold,
     phase_sensitive_gain,
     single_mode_gain,
     single_mode_matrices,
+    stability_double,
     time_domain_gain,
     transfer_equivalence,
 )
@@ -31,11 +34,9 @@ from kipa.oracle import (
     SINGLE_IDLER,
     SINGLE_SIGNAL,
     TimeDomainRun,
-    draw_double_case,
-    draw_single_case,
-    _stacked_transfer,
+    _transfer,
 )
-from kipa.prng import SplitMix64
+from kipa.prng import SplitMix64, uniforms
 
 KAPPA = 2 * math.pi * 1e6
 
@@ -97,9 +98,73 @@ class TestMatrixTransfer:
         assert report["max_rel_err_double"] < 1e-9
 
 
+@dataclass(frozen=True)
+class SingleModeCase:
+    res: ResonatorParams
+    g: float
+    delta: float
+    phi_p: float
+    omega: float
+
+
+@dataclass(frozen=True)
+class DoubleModeCase:
+    system: CoupledSystem
+    g: float
+    delta_a: float
+    delta_b: float
+    phi_p: float
+    omega: float
+
+
+def draw_single_case(rng: SplitMix64) -> SingleModeCase:
+    """Random stable single-mode working point; eta spans [0.5, 1)."""
+    kappa_e = 2.0 * math.pi * 10.0 ** rng.uniform(5.0, 8.0)
+    kappa_i = kappa_e * rng.uniform(0.0, 1.0)
+    res = ResonatorParams(
+        omega0=2.0 * math.pi * rng.uniform(4e9, 9e9),
+        kappa_e=kappa_e, kappa_i=kappa_i,
+    )
+    k = res.kappa
+    g = rng.uniform(0.0, 0.98) * k / 2.0
+    return SingleModeCase(
+        res=res,
+        g=g,
+        delta=rng.uniform(-2.0, 2.0) * k,
+        phi_p=rng.uniform(0.0, 2.0 * math.pi),
+        omega=rng.uniform(-3.0, 3.0) * k,
+    )
+
+
+def draw_double_case(rng: SplitMix64) -> DoubleModeCase:
+    """Random stable coupled-pair working point, the pump rate below both
+    the coupled-system and the collective-pair threshold."""
+    def mode() -> ResonatorParams:
+        kappa_e = 2.0 * math.pi * 10.0 ** rng.uniform(5.0, 8.0)
+        return ResonatorParams(
+            omega0=2.0 * math.pi * rng.uniform(4e9, 9e9),
+            kappa_e=kappa_e,
+            kappa_i=kappa_e * rng.uniform(0.0, 1.0),
+        )
+
+    mode_a, mode_b = mode(), mode()
+    J = mode_a.kappa * 10.0 ** rng.uniform(-0.5, 1.5)
+    system = CoupledSystem(mode_a=mode_a, mode_b=mode_b, J=J)
+    g_cap = min(stability_double(system, 0.0).threshold, pair_threshold(system))
+    return DoubleModeCase(
+        system=system,
+        g=rng.uniform(0.0, 0.9) * g_cap,
+        delta_a=rng.uniform(-2.0, 2.0) * mode_a.kappa,
+        delta_b=rng.uniform(-2.0, 2.0) * mode_b.kappa,
+        phi_p=rng.uniform(0.0, 2.0 * math.pi),
+        omega=rng.uniform(-1.0, 1.0) * (2.0 * J + 2.0 * mode_a.kappa),
+    )
+
+
 def per_draw_equivalence(draws, seed):
-    """The sweep one draw at a time: draw a case, evaluate the public
-    closed forms on it, solve its own transfer matrix."""
+    """The sweep one draw at a time: draw a case (single, then double, from
+    one SplitMix64 stream), evaluate the public closed forms on it, solve
+    its own transfer matrix."""
     rng = SplitMix64(seed)
     worst_single = 0.0
     worst_double = 0.0
@@ -150,7 +215,7 @@ class TestBatchedEquivalence:
         mats = [single_mode_matrices(res, f * k, d * k, phi)
                 for f, d, phi in ((0.1, 0.0, 0.0), (0.3, 0.5, 1.0), (0.45, -1.0, 4.0))]
         omegas = [0.3 * k, -1.1 * k, 0.0]
-        stacked = _stacked_transfer(mats, omegas)
+        stacked = _transfer(*_stack(mats), omegas)
         for m, sysm, omega in zip(stacked, mats, omegas):
             assert np.array_equal(m, matrix_transfer(sysm, omega))
 
@@ -159,9 +224,33 @@ class TestBatchedEquivalence:
         k = res.kappa
         mats = [single_mode_matrices(res, g) for g in (0.1 * k, 0.2 * k, k / 2, 0.3 * k)]
         with pytest.raises(SingularAt) as info:
-            _stacked_transfer(mats, [0.3 * k, -0.2 * k, 0.0, 0.7 * k])
+            _transfer(*_stack(mats), [0.3 * k, -0.2 * k, 0.0, 0.7 * k])
         assert info.value.omega == 0.0
         assert not info.value.condition <= 1e12
+
+
+def _stack(mats):
+    """drift, B, C and D of each system, stacked along a leading axis."""
+    return [np.array([getattr(m, name) for m in mats]) for name in ("drift", "B", "C", "D")]
+
+
+class TestUniformStream:
+    """The array stream is the scalar SplitMix64 specification."""
+
+    @staticmethod
+    def scalar(seed, n):
+        rng = SplitMix64(seed)
+        return np.array([rng.uniform() for _ in range(n)])
+
+    @pytest.mark.parametrize("n", [0, 1, 19, 19000])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_equals_scalar_stream(self, seed, n):
+        assert np.array_equal(uniforms(seed, n), self.scalar(seed, n))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1))
+    def test_equals_scalar_stream_on_any_seed(self, seed):
+        assert np.array_equal(uniforms(seed, 57), self.scalar(seed, 57))
 
 
 class TestCommutationResidual:
