@@ -118,7 +118,8 @@ def stability_double(system: CoupledSystem, g: float) -> DoubleModeStability:
     :func:`pair_threshold` can be lower and is then the binding one.
     """
     stab = _double_stability(system.mode_a.kappa, system.mode_b.kappa, system.J, g)
-    return DoubleModeStability(**{name: v.item() for name, v in vars(stab).items()})
+    return DoubleModeStability(**{name: v.item() if np.ndim(v) == 0 else v
+                                  for name, v in vars(stab).items()})
 
 
 def _double_stability(kappa_a, kappa_b, J, g) -> DoubleModeStability:
@@ -152,11 +153,10 @@ def _squares(x) -> np.ndarray:
 def _require_stable(stab, g) -> None:
     """Raise UnstableRegime at the first working point where g is at or
     above the threshold of ``stab`` (a SingleModeStability or
-    DoubleModeStability, for one working point or arrays of them): the
-    closed forms then describe self-oscillation, not amplification."""
-    if stab.stable is True:  # one stable working point: no array test
-        return
-    bad = np.flatnonzero(np.logical_not(stab.stable))
+    DoubleModeStability, for one working point or arrays of them; only
+    its threshold is read): the closed forms then describe
+    self-oscillation, not amplification."""
+    bad = np.flatnonzero(np.logical_not(g < stab.threshold))
     if not len(bad):
         return
     g, threshold = (v.flat[bad[0]] for v in np.broadcast_arrays(g, stab.threshold))

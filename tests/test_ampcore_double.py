@@ -78,6 +78,15 @@ class TestStabilityDouble:
         den = (a.kappa * b.kappa / 4 + J**2) ** 2 - threshold**2 * b.kappa**2 / 4
         assert abs(den) < 1e-6 * (a.kappa * b.kappa / 4 + J**2) ** 2
 
+    def test_array_of_pump_rates(self):
+        system = make_pair(j_over_kappa=2.0)
+        threshold = stability_double(system, 0.0).threshold
+        g = np.array([0.5, 1.0, 1.5]) * threshold
+        report = stability_double(system, g)
+        assert report.stable.tolist() == [True, False, False]
+        assert report.margin.tolist() == (threshold - g).tolist()
+        assert type(report.threshold) is float and report.threshold == threshold
+
 
 class TestHybridize:
     def test_degenerate_point_splits_by_2j(self):

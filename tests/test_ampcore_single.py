@@ -247,3 +247,11 @@ class TestStabilitySingle:
         report = stability_single(res, 0.0)
         assert report.stable
         assert report.margin == res.kappa / 2
+
+    def test_array_of_pump_rates(self):
+        res = make_res()
+        g = np.array([0.25, 0.5, 0.75]) * res.kappa
+        report = stability_single(res, g)
+        assert report.stable.tolist() == [True, False, False]
+        assert report.margin.tolist() == (res.kappa / 2 - g).tolist()
+        assert report.threshold == res.kappa / 2
