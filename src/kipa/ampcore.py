@@ -84,7 +84,7 @@ def pump_rate(pump: PumpConfig, film: KineticFilm, omega0: float) -> float:
 @dataclass(frozen=True)
 class SingleModeStability:
     stable: bool
-    margin: float     # threshold - g [rad/s]
+    margin: float     # threshold - |g| [rad/s]
     threshold: float  # kappa/2 [rad/s]
 
 
@@ -93,11 +93,12 @@ class DoubleModeStability:
     stable: bool
     cooperativity: float  # C0 = 4 J^2 / (kappa_a * kappa_b)
     threshold: float      # kappa_a (1 + C0) / 2 [rad/s]
-    margin: float         # threshold - g [rad/s]
+    margin: float         # threshold - |g| [rad/s]
 
 
 def stability_single(res: ResonatorParams, g: float) -> SingleModeStability:
-    """Single-mode oscillation threshold: stable iff g < kappa/2."""
+    """Single-mode oscillation threshold: stable iff |g| < kappa/2 (the
+    physics depends on g^2, so a negative rate is as strong a pump)."""
     return _single_stability(res.kappa, g)
 
 
@@ -105,12 +106,12 @@ def _single_stability(kappa, g) -> SingleModeStability:
     """:func:`stability_single` at rate level; arguments broadcast."""
     threshold = kappa / 2.0
     return SingleModeStability(
-        stable=g < threshold, margin=threshold - g, threshold=threshold
+        stable=abs(g) < threshold, margin=threshold - abs(g), threshold=threshold
     )
 
 
 def stability_double(system: CoupledSystem, g: float) -> DoubleModeStability:
-    """Coupled-system threshold: stable iff g < kappa_a*(1 + C0)/2.
+    """Coupled-system threshold: stable iff |g| < kappa_a*(1 + C0)/2.
 
     C0 = 4 J^2/(kappa_a kappa_b) is the cooperativity of the coupling.
     This is the zero-frequency divergence of the coupled static response;
@@ -136,8 +137,8 @@ def _double_stability(kappa_a, kappa_b, J, g) -> DoubleModeStability:
             f"kappa_a={ka:g}, kappa_b={kb:g} rad/s"
         )
     return DoubleModeStability(
-        stable=g < threshold, cooperativity=c0, threshold=threshold,
-        margin=threshold - g,
+        stable=abs(g) < threshold, cooperativity=c0, threshold=threshold,
+        margin=threshold - abs(g),
     )
 
 
@@ -151,12 +152,12 @@ def _squares(x) -> np.ndarray:
 
 
 def _require_stable(stab, g) -> None:
-    """Raise UnstableRegime at the first working point where g is at or
+    """Raise UnstableRegime at the first working point where |g| is at or
     above the threshold of ``stab`` (a SingleModeStability or
     DoubleModeStability, for one working point or arrays of them; only
     its threshold is read): the closed forms then describe
     self-oscillation, not amplification."""
-    bad = np.flatnonzero(np.logical_not(g < stab.threshold))
+    bad = np.flatnonzero(np.logical_not(abs(g) < stab.threshold))
     if not len(bad):
         return
     g, threshold = (v.flat[bad[0]] for v in np.broadcast_arrays(g, stab.threshold))
@@ -255,7 +256,7 @@ def single_mode_gain(
     Raises
     ------
     UnstableRegime
-        If g >= kappa/2: the pump is above the parametric-oscillation
+        If |g| >= kappa/2: the pump is above the parametric-oscillation
         threshold and the closed forms describe self-oscillation,
         not amplification.
     """
@@ -765,7 +766,8 @@ def pump_regime_map(
     best coarse sample is not finite, keeps all of its cells.
 
     Requires the system to be at the anticrossing (omega_a = omega_b to
-    within J/100).
+    within J/100). Raises UnstableRegime when no pump point is stable, or
+    NonPhysical when the drift eigenvalues are too large to resolve it.
     """
     if not system.J > 0:
         raise ValueError("pump_regime_map requires a coupled pair (J > 0)")
@@ -805,6 +807,14 @@ def pump_regime_map(
 
     finite = np.isfinite(peak_db)
     if not finite.any():
+        # eigenvalues carry an absolute error of ~eps*max|lambda|: once that
+        # reaches the damping, the sign of their real parts means nothing
+        lam = float(np.abs(eigs).max())
+        kmin = min(system.mode_a.kappa, system.mode_b.kappa)
+        if np.finfo(float).eps * lam >= kmin / 2.0:
+            raise NonPhysical(
+                f"eigenvalue precision lost: rounding of drift eigenvalues up to "
+                f"{lam:g} rad/s swamps the damping min(kappa)/2={kmin / 2.0:g} rad/s")
         raise UnstableRegime("system self-oscillates over the whole pump grid")
     filled = np.where(finite, peak_db, np.min(peak_db[finite]))
     peaks = find_peaks_db(filled, prominence_db)

@@ -16,7 +16,7 @@ optimum scaled by the residual variance, i.e. approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,11 +38,9 @@ from .params import ResonatorParams, Trace, hz_to_angular, power_linear
 @dataclass
 class FitResult:
     params: dict[str, float]
-    sigma: dict[str, float] | None  # present iff converged
+    sigma: dict[str, float]
     residual_rms: float
-    converged: bool
     iterations: int
-    warnings: list[str] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +72,7 @@ def _jacobian(residual_fn, p, r0, scale):
     return J
 
 
-def damped_least_squares(residual_fn, p0, scale=None, max_iter=_MAX_ITER):
+def damped_least_squares(residual_fn, p0, scale=None):
     """Minimize sum(residual_fn(p)^2) from p0.
 
     residual_fn may raise ValueError for an infeasible trial point, which
@@ -93,7 +91,7 @@ def damped_least_squares(residual_fn, p0, scale=None, max_iter=_MAX_ITER):
     r = np.asarray(residual_fn(p))
     ssr = float(r @ r)
     lam = 1e-3
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITER + 1):
         J = _jacobian(residual_fn, p, r, scale)
         if iteration == 1 and np.linalg.matrix_rank(J) < n:
             raise IllConditioned(
@@ -140,7 +138,7 @@ def damped_least_squares(residual_fn, p0, scale=None, max_iter=_MAX_ITER):
         lam *= 0.5
         if param_change < _PARAM_TOL or resid_change < _RESID_TOL:
             return p, iteration, r
-    raise NotConverged(f"iteration cap {max_iter} reached")
+    raise NotConverged(f"iteration cap {_MAX_ITER} reached")
 
 
 def _sigma_from_jacobian(residual_fn, p, r, scale, names):
@@ -159,15 +157,13 @@ def _sigma_from_jacobian(residual_fn, p, r, scale, names):
     }
 
 
-def _result(residual_fn, p, iterations, r, scale, names, warnings=()):
+def _result(residual_fn, p, iterations, r, scale, names):
     sigma = _sigma_from_jacobian(residual_fn, p, r, scale, names)
     return FitResult(
         params={name: float(v) for name, v in zip(names, p)},
         sigma=sigma,
         residual_rms=float(np.sqrt(np.mean(np.asarray(r) ** 2))),
-        converged=True,
         iterations=iterations,
-        warnings=list(warnings),
     )
 
 
@@ -319,7 +315,6 @@ def fit_bias_sweep(trace: Trace) -> FitResult:
         params={"f0_hz": f0, "i_star_a": i_star},
         sigma=sigma,
         residual_rms=float(np.sqrt(np.mean(resid**2))),
-        converged=True,
         iterations=0,
     )
 

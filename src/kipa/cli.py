@@ -4,9 +4,9 @@ vs matrix-solve equivalence check.
 
 Every invocation writes one JSON result record to stdout; ``--out``
 additionally writes plot-ready CSV data. Exit codes: 0 success,
-2 validation error, 3 numeric error (unstable regime, fit failure, ...),
-1 internal error. ``KIPA_LOG`` in {quiet, info, debug} controls stderr
-logging.
+2 bad input (flags, files, an unreadable path), 3 numeric failure (any
+other kipa error, float overflow, division by zero), 1 internal error.
+``KIPA_LOG`` in {quiet, info, debug} controls stderr logging.
 """
 
 from __future__ import annotations
@@ -20,39 +20,17 @@ import sys
 import numpy as np
 
 from . import ampcore, calfit, datio, noise, oracle
-from .errors import (
-    IllConditioned,
-    KipaError,
-    NoPeak,
-    NonPhysical,
-    NotConverged,
-    NotSettled,
-    ParseError,
-    PoleAtFrequency,
-    SchemaMismatch,
-    SingularAt,
-    UnitError,
-    UnstableFit,
-    UnstableRegime,
-)
+from .errors import KipaError, ParseError, SchemaMismatch, UnitError
 from .params import (
     ComplexSpectrum,
     CoupledSystem,
+    NoiseChain,
     angular_to_hz,
     hz_to_angular,
     power_db,
 )
 
 log = logging.getLogger("kipa")
-
-_VALIDATION_ERRORS = (
-    ParseError, SchemaMismatch, UnitError, ValueError,
-    FileNotFoundError, IsADirectoryError,
-)
-_NUMERIC_ERRORS = (
-    UnstableRegime, PoleAtFrequency, SingularAt, NotSettled, NotConverged,
-    IllConditioned, UnstableFit, NoPeak, NonPhysical,
-)
 
 
 def emit_plot_data(x, gain_db, path, x_column: str = "freq_hz") -> None:
@@ -125,17 +103,17 @@ def _anticrossing_system(cfg) -> CoupledSystem:
     return CoupledSystem(mode_a=tuned, mode_b=cfg.auxiliary, J=cfg.J)
 
 
-def _print_record(args, outputs, warnings=()) -> None:
+def _print_record(args, outputs) -> None:
     inputs = {
         key: value
         for key, value in sorted(vars(args).items())
         if not key.startswith("_") and key != "func" and value is not None
     }
-    record = datio.make_record(args._command, inputs, outputs, warnings)
+    record = datio.make_record(args._command, inputs, outputs)
     try:
         text = datio.record_to_json(record)
     except ValueError as exc:  # NaN or infinity: a numeric failure, not bad input
-        raise NonPhysical(f"non-finite output: {exc}") from exc
+        raise ArithmeticError(f"non-finite output: {exc}") from exc
     sys.stdout.write(text)
 
 
@@ -276,8 +254,6 @@ def cmd_stability(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    from .params import NoiseChain
-
     chain = NoiseChain(
         G_k=args.g_k, G_h=args.g_h, n_h=args.n_h, eta=args.eta,
         T=args.t_k, T_dev=args.t_dev_k, omega=hz_to_angular(args.f_hz),
@@ -299,50 +275,34 @@ def cmd_noise(args) -> int:
     return 0
 
 
-def _fit_outputs(fit: calfit.FitResult, units: dict) -> dict:
-    outputs = {}
-    for name, value in fit.params.items():
-        outputs[name] = (value, units.get(name, "1"))
-    if fit.sigma is not None:
-        for name, value in fit.sigma.items():
-            outputs["sigma_" + name] = (value, units.get(name, "1"))
+# fit subcommand -> (trace kind, fit call, units of the fitted parameters;
+# unlisted ones are dimensionless)
+_FITS = {
+    "fit-resonance": ("reflection", lambda trace, args: calfit.fit_reflection(trace),
+                      {"f0_hz": "Hz", "kappa_e_hz": "Hz", "kappa_i_hz": "Hz"}),
+    "fit-bias": ("bias_shift", lambda trace, args: calfit.fit_bias_sweep(trace),
+                 {"f0_hz": "Hz", "i_star_a": "A"}),
+    "fit-gain": ("gain_db", lambda trace, args: calfit.fit_gain_profile(
+                     trace, kappa_hint=args.kappa_hint_hz),
+                 {"g_hz": "Hz", "kappa_e_hz": "Hz", "kappa_i_hz": "Hz",
+                  "f_center_hz": "Hz"}),
+    "fit-noise": ("noise_psd", lambda trace, args: calfit.fit_noise_temperature(
+                      trace, hz_to_angular(args.f_hz)),
+                  {"n_add": "quanta"}),
+}
+
+
+def cmd_fit(args) -> int:
+    kind, fit_call, units = _FITS[args.command]
+    fit = fit_call(datio.load_trace(args.trace, kind), args)
+    outputs = {name: (value, units.get(name, "1")) for name, value in fit.params.items()}
+    for name, value in fit.sigma.items():
+        outputs["sigma_" + name] = (value, units.get(name, "1"))
     outputs["residual_rms"] = (fit.residual_rms, "1")
     outputs["iterations"] = (fit.iterations, "1")
-    outputs["converged"] = (fit.converged, "1")
-    return outputs
-
-
-def cmd_fit_resonance(args) -> int:
-    trace = datio.load_trace(args.trace, "reflection")
-    fit = calfit.fit_reflection(trace)
-    units = {"f0_hz": "Hz", "kappa_e_hz": "Hz", "kappa_i_hz": "Hz"}
-    _print_record(args, _fit_outputs(fit, units), fit.warnings)
-    return 0
-
-
-def cmd_fit_bias(args) -> int:
-    trace = datio.load_trace(args.trace, "bias_shift")
-    fit = calfit.fit_bias_sweep(trace)
-    units = {"f0_hz": "Hz", "i_star_a": "A"}
-    _print_record(args, _fit_outputs(fit, units), fit.warnings)
-    return 0
-
-
-def cmd_fit_gain(args) -> int:
-    trace = datio.load_trace(args.trace, "gain_db")
-    fit = calfit.fit_gain_profile(trace, kappa_hint=args.kappa_hint_hz)
-    units = {
-        "g_hz": "Hz", "kappa_e_hz": "Hz", "kappa_i_hz": "Hz", "f_center_hz": "Hz",
-    }
-    _print_record(args, _fit_outputs(fit, units), fit.warnings)
-    return 0
-
-
-def cmd_fit_noise(args) -> int:
-    trace = datio.load_trace(args.trace, "noise_psd")
-    fit = calfit.fit_noise_temperature(trace, hz_to_angular(args.f_hz))
-    units = {"g_tot": "1", "n_add": "quanta"}
-    _print_record(args, _fit_outputs(fit, units), fit.warnings)
+    # constant: a fit that does not converge raises NotConverged instead
+    outputs["converged"] = (True, "1")
+    _print_record(args, outputs)
     return 0
 
 
@@ -448,21 +408,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-resonance", help="fit a reflection trace")
     p.add_argument("trace")
-    p.set_defaults(func=cmd_fit_resonance)
+    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("fit-bias", help="fit a bias sweep")
     p.add_argument("trace")
-    p.set_defaults(func=cmd_fit_bias)
+    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("fit-gain", help="fit a gain profile")
     p.add_argument("trace")
     p.add_argument("--kappa-hint-hz", type=_positive, default=None)
-    p.set_defaults(func=cmd_fit_gain)
+    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("fit-noise", help="fit noise PSD vs temperature")
     p.add_argument("trace")
     p.add_argument("--f-hz", type=_positive, required=True)
-    p.set_defaults(func=cmd_fit_noise)
+    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("gbp", help="gain-bandwidth product of a gain trace")
     p.add_argument("trace")
@@ -495,16 +455,13 @@ def main(argv=None) -> int:
             args._config = datio.load_config(args.config)
         log.info("running %s", args.command)
         return args.func(args)
-    except _NUMERIC_ERRORS as exc:
+    except (ParseError, SchemaMismatch, UnitError, ValueError, OSError) as exc:
+        print(f"kipa: {exc}", file=sys.stderr)  # bad input, unreadable path included
+        return 2
+    except (KipaError, ArithmeticError) as exc:  # numeric, float overflow included
         print(f"kipa: {exc}", file=sys.stderr)
         return 3
-    except _VALIDATION_ERRORS as exc:
-        print(f"kipa: {exc}", file=sys.stderr)
-        return 2
-    except KipaError as exc:
-        print(f"kipa: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a bug: report it, never a traceback
         print(f"kipa: internal error: {exc}", file=sys.stderr)
         return 1
 

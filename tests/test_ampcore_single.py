@@ -8,17 +8,20 @@ import pytest
 
 import kipa.oracle as oracle
 from kipa import (
+    CoupledSystem,
     KineticFilm,
     PoleAtFrequency,
     PumpConfig,
     ResonatorParams,
     UnstableRegime,
     bias_frequency_shift,
+    double_mode_gain_bare,
     kinetic_inductance,
     on_resonance_gain,
     phase_sensitive_gain,
     pump_rate,
     single_mode_gain,
+    stability_double,
     stability_single,
     susceptibility,
 )
@@ -255,3 +258,43 @@ class TestStabilitySingle:
         assert report.stable.tolist() == [True, False, False]
         assert report.margin.tolist() == (res.kappa / 2 - g).tolist()
         assert report.threshold == res.kappa / 2
+
+
+class TestNegativePumpRate:
+    """The physics depends on g^2, so a negative rate pumps as hard as its
+    magnitude: every guard compares |g| with the threshold."""
+
+    def pair(self, res):
+        # C0 = 1: the coupled-system threshold is kappa
+        return CoupledSystem(mode_a=res, mode_b=res, J=res.kappa / 2)
+
+    @pytest.mark.parametrize("frac", [0.3, 0.8, 1.2])
+    def test_guards_see_the_magnitude(self, frac):
+        res = make_res(eta=0.9)
+        system = self.pair(res)
+        for g in (frac * res.kappa / 2, frac * res.kappa):
+            assert stability_single(res, -g) == stability_single(res, g)
+            assert stability_double(system, -g) == stability_double(system, g)
+
+    def test_stable_results_are_even_in_g(self):
+        res = make_res(eta=0.9)
+        g = 0.3 * res.kappa
+        grid = np.linspace(-res.kappa, res.kappa, 101)
+        plus, _ = single_mode_gain(res, g, 0.0, 0.0, grid)
+        minus, _ = single_mode_gain(res, -g, 0.0, 0.0, grid)
+        assert minus.power_db.tolist() == plus.power_db.tolist()
+        assert on_resonance_gain(res, -g) == on_resonance_gain(res, g)
+        system = self.pair(res)
+        plus = double_mode_gain_bare(system, g, 0.0, 0.0, 0.0, grid)
+        minus = double_mode_gain_bare(system, -g, 0.0, 0.0, 0.0, grid)
+        assert minus.signal_a.power_db.tolist() == plus.signal_a.power_db.tolist()
+
+    def test_above_threshold_rejected(self):
+        res = make_res(eta=0.9)
+        grid = np.linspace(-res.kappa, res.kappa, 101)
+        with pytest.raises(UnstableRegime):
+            single_mode_gain(res, -0.8 * res.kappa, 0.0, 0.0, grid)
+        with pytest.raises(UnstableRegime):
+            on_resonance_gain(res, -0.8 * res.kappa)
+        with pytest.raises(UnstableRegime):
+            double_mode_gain_bare(self.pair(res), -1.2 * res.kappa, 0.0, 0.0, 0.0, grid)

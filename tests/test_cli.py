@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from kipa import Trace, save_trace
+from kipa import Trace, cli, errors, save_trace
 from kipa.cli import main
 
 DEVICE = {
@@ -55,6 +55,21 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     return header, rows
+
+
+def write_device(tmp_path, base=DEVICE, drive=None, **fields):
+    """Config file of ``base`` with top-level, film, ring or pump ``fields``
+    overridden and, if given, the pump ``drive``."""
+    doc = json.loads(json.dumps(base))
+    for name, value in fields.items():
+        section = next((doc[key] for key in ("film", "ring", "pump")
+                        if name in doc[key]), doc)
+        section[name] = value
+    if drive is not None:
+        doc["pump"]["drive"] = drive
+    path = tmp_path / "device.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
 
 
 class TestGainCommand:
@@ -178,6 +193,17 @@ class TestRegimeMapCommand:
             2 * 7.133e9, abs=1.0
         )
 
+    @pytest.mark.parametrize("j_hz, argv, message", [
+        # rounding of eigenvalues ~1e151 rad/s hides the damping entirely
+        (1e150, [], "eigenvalue precision lost"),
+        (2.15e7, ["--g-hz", "1e9"], "system self-oscillates over the whole pump grid"),
+    ])
+    def test_no_stable_pump_point_is_numeric_error(self, capsys, tmp_path, j_hz,
+                                                   argv, message):
+        path = write_device(tmp_path, base=DOUBLE_DEVICE, j_hz=j_hz)
+        code, out, err = run_cli(capsys, ["regime-map", "--config", path, *argv])
+        assert (code, out) == (3, "")
+        assert err.startswith(f"kipa: {message}")
 
     def test_csv_rows_are_the_finite_map_points(self, capsys, double_config_path,
                                                 tmp_path):
@@ -293,6 +319,66 @@ class TestStabilityAndNoise:
         assert code == 3
         assert out == ""
         assert err.startswith("kipa: thermal occupancy overflows")
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+BAD_INPUT = (errors.ParseError, errors.SchemaMismatch, errors.UnitError)
+POWER_DRIVE = {"p_p_w": 4.2e-6, "z_ref_ohm": 50.0, "cal": 1.0}
+
+
+class TestExitCodeRule:
+    @pytest.mark.parametrize("exc, code", [
+        pytest.param(cls(1.0), 2 if issubclass(cls, BAD_INPUT) else 3, id=cls.__name__)
+        for cls in (errors.KipaError, *subclasses(errors.KipaError))
+    ] + [
+        (OverflowError(34, "Numerical result out of range"), 3),
+        (ZeroDivisionError("float division by zero"), 3),
+        (NotADirectoryError(20, "Not a directory"), 2),
+        (PermissionError(13, "Permission denied"), 2),
+        (ValueError("bad value"), 2),
+        (RuntimeError("bug"), 1),  # anything else is an internal error
+    ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
+    def test_exit_code_of_each_error(self, capsys, monkeypatch, exc, code):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_oracle_check", fail)
+        prefix = "internal error: " if code == 1 else ""
+        assert run_cli(capsys, ["oracle-check", "--seed", "1"]) == (
+            code, "", f"kipa: {prefix}{exc}\n")
+
+    @pytest.mark.parametrize("command, fields", [
+        ("gain", {"i_dc_a": 1e300}),
+        ("phase", {"kappa_e_hz": 1e300}),
+    ])
+    def test_float_overflow_is_numeric_error(self, capsys, tmp_path, command, fields):
+        path = write_device(tmp_path, **fields)
+        code, out, err = run_cli(capsys, [command, "--config", path])
+        assert (code, out) == (3, "")
+        assert err == "kipa: (34, 'Numerical result out of range')\n"
+
+    @pytest.mark.parametrize("command", ["gain", "phase", "double-gain", "regime-map",
+                                         "stability"])
+    def test_underflowing_scale_current_is_numeric_error(self, capsys, tmp_path,
+                                                          command):
+        path = write_device(tmp_path, drive=POWER_DRIVE, i_star_a=1e-300)
+        assert run_cli(capsys, [command, "--config", path]) == (
+            3, "", "kipa: float division by zero\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["fit-gain", "{file}/x"], ["gain", "--config", "{file}/x.json"],
+    ])
+    def test_path_through_a_file_is_validation_error(self, capsys, tmp_path, argv):
+        file = tmp_path / "plain.txt"
+        file.write_text("not a directory", encoding="utf-8")
+        code, out, err = run_cli(capsys, [a.format(file=file) for a in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("kipa: [Errno 20] Not a directory")
 
 
 class TestFitCommands:
