@@ -57,7 +57,15 @@ def bias_frequency_shift(omega0: float, I_dc: float, I_star: float) -> float:
     """
     if not I_star > 0:
         raise ValueError(f"I_star must be > 0, got {I_star!r}")
-    return -(omega0 / 2.0) * (I_dc / I_star) ** 2
+    try:
+        shift = -(omega0 / 2.0) * (I_dc / I_star) ** 2
+    except OverflowError:
+        shift = -math.inf
+    if not math.isfinite(shift):
+        raise NonPhysical(
+            f"bias shift overflows: I_dc={I_dc:g} A against I_star={I_star:g} A"
+        )
+    return shift
 
 
 def pump_rate(pump: PumpConfig, film: KineticFilm, omega0: float) -> float:
@@ -74,7 +82,16 @@ def pump_rate(pump: PumpConfig, film: KineticFilm, omega0: float) -> float:
     if pump.g is not None:
         return pump.g
     i_p = pump.cal * math.sqrt(2.0 * pump.P_p / pump.Z_ref)
-    return abs(pump.I_dc * i_p * omega0 / (4.0 * film.I_star**2))
+    try:
+        g = abs(pump.I_dc * i_p * omega0 / (4.0 * film.I_star**2))
+    except (OverflowError, ZeroDivisionError):  # I_star**2 beyond a double
+        g = math.inf
+    if not math.isfinite(g):
+        raise NonPhysical(
+            f"pump rate overflows: I_dc={pump.I_dc:g} A and I_p={i_p:g} A "
+            f"against I_star={film.I_star:g} A"
+        )
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +230,41 @@ def _single_mode_factors(kappa, eta, g, delta, phi_p, w):
 
     Every argument may be a scalar or an array; they broadcast, so one
     call evaluates many working points at once (one per element). Raises
-    PoleAtFrequency at the first pole; stability is the caller's check.
+    NonPhysical or PoleAtFrequency as :func:`_single_mode_signal` does;
+    stability is the caller's check.
     """
-    den = delta**2 - g**2 + (1j * w - kappa / 2.0) ** 2
-    scale = delta**2 + g**2 + (kappa / 2.0) ** 2 + w**2
+    signal, den = _single_mode_signal(kappa, eta, g, delta, w)
+    return signal, _single_mode_idler(kappa, eta, g, phi_p, den)
+
+
+def _single_mode_signal(kappa, eta, g, delta, w):
+    """(signal, D): the signal gain factor of :func:`single_mode_gain` at
+    ``w`` and its denominator D(w); arguments broadcast. Raises
+    NonPhysical where D or its scale overflows, naming the largest rate,
+    and PoleAtFrequency at the first pole; stability is the caller's
+    check."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            den = delta**2 - g**2 + (1j * w - kappa / 2.0) ** 2
+            scale = delta**2 + g**2 + (kappa / 2.0) ** 2 + w**2
+        finite = np.isfinite(scale).all()  # |D| <= scale: a finite scale bounds D
+    except OverflowError:  # Python float ** raises where numpy gives inf
+        finite = False
+    if not finite:
+        rates = {"kappa": kappa, "g": g, "delta": delta, "omega": w}
+        name = max(rates, key=lambda key: np.max(np.abs(rates[key])))
+        raise NonPhysical(
+            f"gain denominator overflows ({name} up to "
+            f"{np.max(np.abs(rates[name])):g} rad/s)"
+        )
     _require_no_pole(den, scale, w, "gain")
-    signal = eta * kappa * (kappa / 2.0 - 1j * (w + delta)) / den - 1.0
-    idler = -1j * eta * kappa * g * np.exp(1j * phi_p) / den
-    return signal, idler
+    return eta * kappa * (kappa / 2.0 - 1j * (w + delta)) / den - 1.0, den
+
+
+def _single_mode_idler(kappa, eta, g, phi_p, den):
+    """Idler gain factor of :func:`single_mode_gain` from the denominator
+    ``den`` of :func:`_single_mode_signal`; arguments broadcast."""
+    return -1j * eta * kappa * g * np.exp(1j * phi_p) / den
 
 
 def single_mode_gain(
@@ -852,8 +896,9 @@ class GainBandwidth:
     gbp_hz: float        # sqrt(linear peak gain) * bandwidth [Hz]
 
 
-def gain_bandwidth_product(spectrum: ComplexSpectrum) -> GainBandwidth:
-    """Gain-bandwidth product of a single-peaked gain spectrum.
+def gain_bandwidth_product(spectrum: ComplexSpectrum | Trace) -> GainBandwidth:
+    """Gain-bandwidth product of a single-peaked gain spectrum, given as
+    complex gain factors over angular offsets or as a ``gain_db`` trace.
 
     The linear power gain is fitted to a Lorentzian line shape
     (:func:`kipa.calfit.fit_lorentzian`); the bandwidth is its FWHM and
@@ -863,9 +908,11 @@ def gain_bandwidth_product(spectrum: ComplexSpectrum) -> GainBandwidth:
     """
     from . import calfit  # deferred: calfit builds its models on this module
 
-    trace = Trace(
-        x=angular_to_hz(spectrum.freqs), y=spectrum.power_db, kind="gain_db"
-    )
+    trace = spectrum
+    if isinstance(spectrum, ComplexSpectrum):
+        trace = Trace(
+            x=angular_to_hz(spectrum.freqs), y=spectrum.power_db, kind="gain_db"
+        )
     fit = calfit.fit_lorentzian(trace)
     peak_lin = fit.params["peak_lin"]
     bw = fit.params["fwhm_hz"]

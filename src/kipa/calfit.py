@@ -30,9 +30,8 @@ from .errors import (
     NotConverged,
     PoleAtFrequency,
     UnstableFit,
-    UnstableRegime,
 )
-from .params import ResonatorParams, Trace, hz_to_angular, power_linear
+from .params import ResonatorParams, Trace, hz_to_angular, power_db, power_linear
 
 
 @dataclass
@@ -171,32 +170,49 @@ def _result(residual_fn, p, iterations, r, scale, names):
 # Forward models (Hz domain, thin wrappers over the closed forms)
 # ---------------------------------------------------------------------------
 
-def _reflection_model(f_hz, f0, kappa_e_hz, kappa_i_hz):
-    res = ResonatorParams(
+def _resonator(f0, kappa_e_hz, kappa_i_hz) -> ResonatorParams:
+    """The mode of a trial point; ValueError unless its values are finite,
+    kappa_e > 0 and kappa_i >= 0."""
+    return ResonatorParams(
         omega0=hz_to_angular(f0),
         kappa_e=hz_to_angular(kappa_e_hz),
         kappa_i=hz_to_angular(kappa_i_hz),
     )
-    signal, _ = ampcore.single_mode_gain(
-        res, 0.0, 0.0, 0.0, hz_to_angular(np.asarray(f_hz) - f0)
-    )
-    return signal.values
+
+
+def _signal(res: ResonatorParams, g, f_hz, f_center):
+    """Signal gain factor of :func:`ampcore.single_mode_gain` at zero
+    detuning and phase, on rates kept as scalars (an array square may
+    round g**2 differently). Raises ValueError where single_mode_gain's
+    checks do (|g| >= kappa/2, offsets not strictly increasing) and on an
+    overflow; a pole raises PoleAtFrequency."""
+    kappa = res.kappa
+    if not abs(g) < kappa / 2.0:
+        raise ValueError(
+            f"g={g:g} rad/s is at or above the oscillation threshold "
+            f"kappa/2={kappa / 2.0:g} rad/s"
+        )
+    w = hz_to_angular(np.asarray(f_hz) - f_center)
+    try:
+        signal, _ = ampcore._single_mode_signal(kappa, res.eta, g, 0.0, w)
+    except NonPhysical as exc:
+        raise ValueError(str(exc)) from exc
+    if not (w[1:] > w[:-1]).all():  # a far-off center collapses the offsets
+        raise ValueError("frequency offsets must be strictly increasing")
+    return signal
+
+
+def _reflection_model(f_hz, f0, kappa_e_hz, kappa_i_hz):
+    return _signal(_resonator(f0, kappa_e_hz, kappa_i_hz), 0.0, f_hz, f0)
 
 
 def _gain_model_db(f_hz, g_hz, kappa_e_hz, kappa_i_hz, f_center):
-    res = ResonatorParams(
-        omega0=hz_to_angular(max(f_center, 1.0)),
-        kappa_e=hz_to_angular(kappa_e_hz),
-        kappa_i=hz_to_angular(kappa_i_hz),
-    )
+    res = _resonator(max(f_center, 1.0), kappa_e_hz, kappa_i_hz)
     try:
-        signal, _ = ampcore.single_mode_gain(
-            res, hz_to_angular(g_hz), 0.0, 0.0,
-            hz_to_angular(np.asarray(f_hz) - f_center),
-        )
-    except (UnstableRegime, PoleAtFrequency) as exc:  # infeasible trial point
+        signal = _signal(res, hz_to_angular(g_hz), f_hz, f_center)
+    except PoleAtFrequency as exc:  # infeasible trial point
         raise ValueError(str(exc)) from exc
-    return signal.power_db
+    return power_db(np.abs(signal) ** 2)
 
 
 def _noise_model(T, g_tot, n_add, omega):
@@ -527,13 +543,13 @@ def fit_lorentzian(trace: Trace) -> FitResult:
     _require_trace(trace, "gain_db", "fit_lorentzian", "gain trace")
     f = trace.x
     y_db = trace.y.astype(float)
+    y_lin = _linear_power(y_db)
     peaks = ampcore.find_peaks_db(y_db, prominence_db=3.0)
     if len(peaks) == 0:
         raise NoPeak("no peak with 3 dB prominence on the grid")
     if len(peaks) > 1:
         raise NoPeak(f"{len(peaks)} prominent peaks on the grid; expected one")
     i_peak = peaks[0]
-    y_lin = _linear_power(y_db)
     base0 = float(np.percentile(y_lin, 10))
     peak0 = float(y_lin[i_peak])
     half = base0 + (peak0 - base0) / 2.0

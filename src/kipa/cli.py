@@ -22,7 +22,6 @@ import numpy as np
 from . import ampcore, calfit, datio, noise, oracle
 from .errors import KipaError, ParseError, SchemaMismatch, UnitError
 from .params import (
-    ComplexSpectrum,
     CoupledSystem,
     NoiseChain,
     angular_to_hz,
@@ -307,10 +306,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_gbp(args) -> int:
-    trace = datio.load_trace(args.trace, "gain_db")
-    amplitudes = np.sqrt(calfit._linear_power(trace.y.astype(float)))
-    spectrum = ComplexSpectrum(hz_to_angular(trace.x), amplitudes.astype(complex))
-    result = ampcore.gain_bandwidth_product(spectrum)
+    result = ampcore.gain_bandwidth_product(datio.load_trace(args.trace, "gain_db"))
     _print_record(args, {
         "peak_gain_db": (result.peak_gain_db, "dB"),
         "bandwidth_hz": (result.bandwidth_hz, "Hz"),

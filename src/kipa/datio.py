@@ -24,6 +24,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ParseError, SchemaMismatch, UnitError
 from .params import (
     CoupledSystem,
@@ -66,6 +68,15 @@ def load_trace(path, kind: str) -> Trace:
         raise SchemaMismatch(
             f"column header must be {','.join(columns)!r} for kind={kind}"
         )
+    table = _parse_body(lines[2:], len(columns))
+    if table is not None:
+        y = table[:, 1]
+        if kind == "reflection":  # re, im pairs as complex, bit for bit
+            y = np.ascontiguousarray(table[:, 1:]).view(complex)[:, 0]
+        try:
+            return Trace(x=table[:, 0], y=y, kind=kind)
+        except ValueError:
+            pass  # not finite or out of order: the loop below names the line
     xs: list[float] = []
     ys: list = []
     rows: list[int] = []  # file line of each kept row
@@ -99,6 +110,31 @@ def load_trace(path, kind: str) -> Trace:
         ) from exc
     except ValueError as exc:
         raise SchemaMismatch(str(exc)) from exc
+
+
+# rows per numpy parse call in _parse_body: bounds the transient field
+# strings to a few hundred kB (one call over an 8001-row reflection body
+# raised load_trace's tracemalloc peak from 1.9 to 3.0 MB; chunked, 1.4 MB)
+_PARSE_ROWS = 1024
+
+
+def _parse_body(body: list[str], width: int):
+    """The rows of a trace body as one (rows, width) float array, parsed
+    _PARSE_ROWS lines per numpy call (which applies ``float()`` to each
+    field); None when a line is blank or has another field count, or a
+    field does not parse. :func:`load_trace` then reads the body line by
+    line, which reports the fault with its line."""
+    if not body or any(line.count(",") != width - 1 for line in body):
+        return None
+    table = np.empty((len(body), width))
+    try:
+        for start in range(0, len(body), _PARSE_ROWS):
+            rows = body[start:start + _PARSE_ROWS]
+            table[start:start + len(rows)] = np.array(
+                ",".join(rows).split(","), dtype=float).reshape(-1, width)
+    except ValueError:
+        return None
+    return table
 
 
 def save_trace(trace: Trace, path) -> None:

@@ -5,14 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.constants import hbar, k as k_B
 
 from kipa import (
     IllConditioned,
     NoPeak,
     NonPhysical,
+    PoleAtFrequency,
     ResonatorParams,
     Trace,
+    UnstableRegime,
     fit_bias_sweep,
     fit_gain_profile,
     fit_lorentzian,
@@ -21,6 +25,7 @@ from kipa import (
     hz_to_angular,
     single_mode_gain,
 )
+from kipa import calfit
 from kipa.calfit import damped_least_squares
 
 
@@ -66,6 +71,146 @@ def noise_trace(g_tot, n_add, omega, temps, noise_frac=0.0, rng=None):
     if noise_frac:
         y = y * (1.0 + noise_frac * rng.standard_normal(len(y)))
     return Trace(x=temps, y=y, kind="noise_psd")
+
+
+def reference_reflection_model(f_hz, f0, kappa_e_hz, kappa_i_hz):
+    """The reflection model as it was built on the public single_mode_gain."""
+    res = ResonatorParams(
+        omega0=hz_to_angular(f0),
+        kappa_e=hz_to_angular(kappa_e_hz),
+        kappa_i=hz_to_angular(kappa_i_hz),
+    )
+    signal, _ = single_mode_gain(
+        res, 0.0, 0.0, 0.0, hz_to_angular(np.asarray(f_hz) - f0)
+    )
+    return signal.values
+
+
+def reference_gain_model_db(f_hz, g_hz, kappa_e_hz, kappa_i_hz, f_center):
+    """The gain-profile model as it was built on the public single_mode_gain."""
+    res = ResonatorParams(
+        omega0=hz_to_angular(max(f_center, 1.0)),
+        kappa_e=hz_to_angular(kappa_e_hz),
+        kappa_i=hz_to_angular(kappa_i_hz),
+    )
+    try:
+        signal, _ = single_mode_gain(
+            res, hz_to_angular(g_hz), 0.0, 0.0,
+            hz_to_angular(np.asarray(f_hz) - f_center),
+        )
+    except (UnstableRegime, PoleAtFrequency) as exc:  # infeasible trial point
+        raise ValueError(str(exc)) from exc
+    return signal.power_db
+
+
+def outcome(model, *args):
+    try:
+        return model(*args)
+    except Exception as exc:
+        return exc
+
+
+def error_kind(exc):
+    """ValueError for any of its subclasses (an infeasible trial point to
+    the LM), else the exception's type."""
+    return ValueError if isinstance(exc, ValueError) else type(exc)
+
+
+def assert_same_outcome(new, reference):
+    """Equal arrays, bit for bit, or the same kind of exception."""
+    if isinstance(reference, Exception):
+        assert isinstance(new, Exception), new
+        assert error_kind(new) is error_kind(reference), (new, reference)
+    else:
+        assert isinstance(new, np.ndarray), new
+        assert np.array_equal(new.view(float), reference.view(float))
+
+
+def mostly(regular, *special):
+    """A draw of ``regular`` most of the time, else one of ``special``."""
+    return st.tuples(st.integers(0, 7), regular, st.sampled_from(special)).map(
+        lambda draw: draw[1] if draw[0] else draw[2])
+
+
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+# the LM passes each rate as an np.float64 element of its parameter array
+_KAPPA_E = mostly(st.floats(1e3, 1e9), 0.0, -0.0, -1e6, 5e-324, *_NON_FINITE).map(np.float64)
+_KAPPA_I = mostly(st.floats(0.0, 1e9), -0.0, -1.0, -5e-324, *_NON_FINITE).map(np.float64)
+# g as a fraction of the threshold kappa/2: below, at, just below (a pole at
+# zero offset), above, negative, non-finite
+_G_FRAC = mostly(st.floats(-0.999, 0.999), 1.0, -1.0, 1.0 - 1e-13, -(1.0 - 1e-13), 1.5,
+                 -2.0, *_NON_FINITE)
+# offsets from the center in units of kappa; 0.0 puts a sample on the center
+_OFFSETS = st.lists(st.one_of(st.just(0.0), st.floats(-5.0, 5.0)), min_size=1,
+                    max_size=40, unique=True).map(sorted)
+# where the center lies: on the grid, far off it (collapsing the offsets), or
+# not finite (-inf passes max(f_center, 1) and overflows, so it is left out)
+_CENTER_SHIFT = mostly(st.floats(-3.0, 3.0), 0.0, 1e25, math.nan, math.inf)
+
+
+def model_grid(kappa_e_hz, kappa_i_hz, offsets, shift):
+    """A trace grid around 7 GHz in units of the drawn linewidth (1 MHz when
+    the draw gives none) and the center to evaluate it against."""
+    kappa = float(kappa_e_hz) + float(kappa_i_hz)
+    unit = kappa if math.isfinite(kappa) and kappa > 0 else 1e6
+    f = 7.0e9 + unit * np.array(offsets)
+    f = f[np.concatenate(([True], f[1:] > f[:-1]))]  # keep it strictly increasing
+    center = np.float64(7.0e9 + shift * unit if abs(shift) <= 3.0 else shift)
+    return f, center
+
+
+class TestSignalOnlyModels:
+    """The fit models call the signal kernel with plain rates; they equal the
+    models built on single_mode_gain bit for bit and reject the same trial
+    points."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(kappa_e_hz=_KAPPA_E, kappa_i_hz=_KAPPA_I, g_frac=_G_FRAC,
+           offsets=_OFFSETS, shift=_CENTER_SHIFT)
+    @example(kappa_e_hz=np.float64(25e6), kappa_i_hz=np.float64(5e6),
+             g_frac=1.0 - 1e-13, offsets=[-1.0, 0.0, 1.0], shift=0.0)
+    # g = 0.6314 * 15 MHz, whose angular square by libm pow is one bit off
+    # numpy's array square: a model that squares its rates as arrays fails
+    @example(kappa_e_hz=np.float64(25e6), kappa_i_hz=np.float64(5e6), g_frac=0.6314,
+             offsets=np.linspace(-2.0, 2.0, 41).tolist(), shift=0.0)
+    def test_gain_model_matches_reference(self, kappa_e_hz, kappa_i_hz, g_frac,
+                                          offsets, shift):
+        f, center = model_grid(kappa_e_hz, kappa_i_hz, offsets, shift)
+        g_hz = np.float64(g_frac * (float(kappa_e_hz) + float(kappa_i_hz)) / 2.0)
+        args = (f, g_hz, kappa_e_hz, kappa_i_hz, center)
+        assert_same_outcome(outcome(calfit._gain_model_db, *args),
+                            outcome(reference_gain_model_db, *args))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(kappa_e_hz=_KAPPA_E, kappa_i_hz=_KAPPA_I, offsets=_OFFSETS,
+           shift=_CENTER_SHIFT)
+    def test_reflection_model_matches_reference(self, kappa_e_hz, kappa_i_hz,
+                                                offsets, shift):
+        f, f0 = model_grid(kappa_e_hz, kappa_i_hz, offsets, shift)
+        args = (f, f0, kappa_e_hz, kappa_i_hz)
+        assert_same_outcome(outcome(calfit._reflection_model, *args),
+                            outcome(reference_reflection_model, *args))
+
+    def test_pole_is_an_infeasible_trial_point(self):
+        # g a hair below kappa/2 puts a pole on the zero-offset sample
+        f = np.array([7.0e9 - 1e6, 7.0e9, 7.0e9 + 1e6])
+        args = (f, np.float64(15e6 * (1.0 - 1e-13)), np.float64(25e6),
+                np.float64(5e6), np.float64(7.0e9))
+        with pytest.raises(ValueError, match="gain pole at omega=0"):
+            reference_gain_model_db(*args)
+        with pytest.raises(ValueError, match="gain pole at omega=0"):
+            calfit._gain_model_db(*args)
+
+    @pytest.mark.parametrize("model, args", [
+        (calfit._gain_model_db, (np.float64(1e6), np.float64(1e200), np.float64(1e6),
+                                 np.float64(7.0e9))),
+        (calfit._reflection_model, (np.float64(7.0e9), np.float64(1e200),
+                                    np.float64(1e6))),
+    ], ids=["gain", "reflection"])
+    def test_overflow_is_an_infeasible_trial_point(self, model, args):
+        # the model built on single_mode_gain emitted a RuntimeWarning here
+        with pytest.raises(ValueError, match=r"^gain denominator overflows \(kappa up to"):
+            model(np.array([7.0e9 - 1e6, 7.0e9 + 1e6]), *args)
 
 
 class TestTraceValidation:
@@ -243,7 +388,7 @@ class TestFitGainProfile:
         def broken(*args, **kwargs):
             raise KeyError("defect inside the model")
 
-        monkeypatch.setattr(ampcore, "single_mode_gain", broken)
+        monkeypatch.setattr(ampcore, "_single_mode_signal", broken)
         with pytest.raises(KeyError):
             calfit._gain_model_db([7.0e9], 10e6, 25e6, 5e6, 7.0e9)
         with pytest.raises(KeyError):

@@ -3,6 +3,9 @@ determinism of the seeded equivalence check."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -360,7 +363,12 @@ class TestExitCodeRule:
         path = write_device(tmp_path, **fields)
         code, out, err = run_cli(capsys, [command, "--config", path])
         assert (code, out) == (3, "")
-        assert err == "kipa: (34, 'Numerical result out of range')\n"
+        assert err == {
+            "gain": "kipa: bias shift overflows: I_dc=1e+300 A against "
+                    "I_star=0.00586 A\n",
+            # phase_sensitive_gain squares the Python float kappa/2 itself
+            "phase": "kipa: (34, 'Numerical result out of range')\n",
+        }[command]
 
     @pytest.mark.parametrize("command", ["gain", "phase", "double-gain", "regime-map",
                                          "stability"])
@@ -368,7 +376,49 @@ class TestExitCodeRule:
                                                           command):
         path = write_device(tmp_path, drive=POWER_DRIVE, i_star_a=1e-300)
         assert run_cli(capsys, [command, "--config", path]) == (
-            3, "", "kipa: float division by zero\n")
+            3, "", "kipa: pump rate overflows: I_dc=0.001575 A and I_p=0.000409878 A "
+                   "against I_star=1e-300 A\n")
+
+    @pytest.mark.parametrize("command", ["gain", "stability", "regime-map"])
+    @pytest.mark.parametrize("fields", [{"cal": 1e300}, {"i_dc_a": 1e300}],
+                             ids=["cal", "i_dc_a"])
+    def test_overflowing_pump_drive_is_numeric_error(self, capsys, tmp_path, command,
+                                                     fields):
+        drive = {**POWER_DRIVE, **{k: v for k, v in fields.items() if k in POWER_DRIVE}}
+        path = write_device(tmp_path, drive=drive,
+                            **{k: v for k, v in fields.items() if k not in POWER_DRIVE})
+        code, out, err = run_cli(capsys, [command, "--config", path])
+        assert (code, out) == (3, "")
+        assert err.startswith("kipa: pump rate overflows: I_dc=")
+        assert "Warning" not in err
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"kappa_e_hz": 1e300}, "gain denominator overflows (kappa up to 6.28319e+300 rad/s)"),
+        ({"kappa_i_hz": 1e200}, "gain denominator overflows (kappa up to 6.28319e+200 rad/s)"),
+    ], ids=["kappa_e_hz", "kappa_i_hz"])
+    def test_overflowing_gain_denominator_is_numeric_error(self, capsys, tmp_path,
+                                                           fields, message):
+        path = write_device(tmp_path, **fields)
+        assert run_cli(capsys, ["gain", "--config", path]) == (3, "", f"kipa: {message}\n")
+
+    def test_overflowing_gain_denominator_prints_no_warning(self, tmp_path):
+        # in-process, pytest turns a numpy RuntimeWarning into an error; a
+        # CLI process would print it, with its source line, to stderr
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        path = write_device(tmp_path, kappa_e_hz=1e300)
+        result = subprocess.run([sys.executable, "-m", "kipa", "gain", "--config", path],
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stdout) == (3, "")
+        assert "Warning" not in result.stderr
+        assert result.stderr.startswith("kipa: gain denominator overflows")
+
+    def test_overflowing_detuning_is_numeric_error(self, capsys, config_path):
+        code, out, err = run_cli(capsys, ["gain", "--config", config_path,
+                                          "--delta-hz", "1e300"])
+        assert (code, out) == (3, "")
+        assert err == "kipa: gain denominator overflows (delta up to 6.28319e+300 rad/s)\n"
 
     @pytest.mark.parametrize("argv", [
         ["fit-gain", "{file}/x"], ["gain", "--config", "{file}/x.json"],

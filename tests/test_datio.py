@@ -3,9 +3,12 @@
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kipa import (
     ParseError,
@@ -19,7 +22,9 @@ from kipa import (
     save_trace,
     write_result,
 )
-from kipa.datio import inputs_digest, record_to_json
+from kipa import datio
+from kipa.datio import TRACE_COLUMNS, inputs_digest, record_to_json
+from kipa.params import GridOrderError
 
 GOOD_CONFIG = {
     "film": {"l0_h": 2.51e-7, "i_star_a": 5.86e-3, "l_sheet_h_per_sq": 3.0e-11},
@@ -40,7 +45,162 @@ def write_config(tmp_path, doc, name="dev.json"):
     return path
 
 
+def reference_load_trace(path, kind: str) -> Trace:
+    """load_trace as it read every file, line by line."""
+    if kind not in TRACE_COLUMNS:
+        raise ValueError(f"unknown trace kind {kind!r}")
+    columns = TRACE_COLUMNS[kind]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ParseError("empty trace file", line=1)
+    header = lines[0].strip()
+    if not header.startswith("# kind="):
+        raise ParseError("first line must be '# kind=<kind>'", line=1)
+    file_kind = header[len("# kind="):].strip()
+    if file_kind != kind:
+        raise SchemaMismatch(
+            f"trace file holds kind={file_kind!r}, expected {kind!r}"
+        )
+    if len(lines) < 2 or lines[1].strip() != ",".join(columns):
+        raise SchemaMismatch(
+            f"column header must be {','.join(columns)!r} for kind={kind}"
+        )
+    xs: list[float] = []
+    ys: list = []
+    rows: list[int] = []  # file line of each kept row
+    for lineno, line in enumerate(lines[2:], start=3):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != len(columns):
+            raise ParseError(
+                f"expected {len(columns)} columns, got {len(parts)}", line=lineno
+            )
+        try:
+            values = [float(part) for part in parts]
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"non-finite value in row {line!r}", line=lineno)
+        xs.append(values[0])
+        ys.append(complex(values[1], values[2]) if kind == "reflection" else values[1])
+        rows.append(lineno)
+    if not xs:
+        raise ParseError("trace file has no data rows", line=3)
+    try:
+        return Trace(x=xs, y=ys, kind=kind)
+    except GridOrderError as exc:
+        i = exc.index
+        raise SchemaMismatch(
+            f"{columns[0]} must be strictly increasing, got {xs[i]!r} after "
+            f"{xs[i - 1]!r} on line {rows[i - 1]}",
+            line=rows[i],
+        ) from exc
+    except ValueError as exc:
+        raise SchemaMismatch(str(exc)) from exc
+
+
+def load_outcome(load, path, kind):
+    """(x, y) bit patterns of the loaded trace, or the exception's type,
+    message and line."""
+    try:
+        trace = load(path, kind)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return trace.x.view(np.int64).tolist(), trace.y.view(np.float64).view(np.int64).tolist()
+
+
+def mostly(regular, *special):
+    """A draw of ``regular`` most of the time, else one of ``special``."""
+    return st.tuples(st.integers(0, 7), regular, st.sampled_from(special)).map(
+        lambda draw: draw[1] if draw[0] else draw[2])
+
+
+# fields float() accepts in other spellings, and ones that fail or are not
+# finite, next to the repr that save_trace writes
+_FIELD = mostly(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                "1_000", "+1e3", " 2 ", "\t7", "-0", ".5", "1.", "\u0661\u0662", "1e999",
+                "inf", "-inf", "nan", "NaN", "", "x", "1__0", "0x10", "1 2")
+
+
+@st.composite
+def trace_files(draw):
+    """Text of a trace file whose body may hold blank lines, odd spellings,
+    wrong field counts, CRLF ends and repeated or falling x."""
+    kind = draw(st.sampled_from(sorted(TRACE_COLUMNS)))
+    width = len(TRACE_COLUMNS[kind])
+    xs = draw(st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=25,
+                       unique=True).map(sorted))
+    lines = []
+    for i, x in enumerate(xs):
+        fields = [draw(mostly(st.just(repr(x)), repr(xs[i - 1]), repr(-x), " 1_0 "))]
+        fields += [draw(_FIELD) for _ in range(width - 1)]
+        fields = fields[:draw(mostly(st.just(width), width - 1, width + 1))]
+        fields += [draw(_FIELD) for _ in range(len(fields), draw(mostly(st.just(width),
+                                                                       width + 1)))]
+        lines.append(",".join(fields))
+        lines += [draw(st.sampled_from(["", " ", "\r", "\t"]))
+                  for _ in range(draw(mostly(st.just(0), 1, 2)))]
+    header = [f"# kind={kind}", ",".join(TRACE_COLUMNS[kind])]
+    end = draw(mostly(st.just("\n"), "\r\n"))
+    return kind, end.join(header + lines) + draw(mostly(st.just(end), ""))
+
+
 class TestTraceIO:
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(case=trace_files())
+    @example(case=("gain_db", "# kind=gain_db\nfreq_hz,gain_db\n1_000,+1e3\n 2e3 , 2 \n"))
+    @example(case=("reflection", "# kind=reflection\r\nfreq_hz,re,im\r\n1.0,-0,0.5\r\n"
+                                 "2.0,-0.0,-1\r\n"))
+    @example(case=("reflection", "# kind=reflection\nfreq_hz,re,im\n1.0,0.5,-1\n"
+                                 "2.0,nan,1\n"))
+    @example(case=("noise_psd", "# kind=noise_psd\ntemp_k,psd_w_per_hz\n0.1,1\n0.1,2\n"))
+    # one field too many, then one too few: the field count alone would fit
+    @example(case=("gain_db", "# kind=gain_db\nfreq_hz,gain_db\n1,2,3\n4\n"))
+    def test_fast_path_matches_line_loop(self, tmp_path_factory, case):
+        kind, text = case
+        path = tmp_path_factory.mktemp("fast") / "trace.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = load_outcome(reference_load_trace, path, kind)
+        body = text.split("\n")[2:]
+        if body and body[-1] == "":
+            body.pop()
+        width = len(TRACE_COLUMNS[kind])
+        for rows in (datio._PARSE_ROWS, 3):  # one parse call, and several
+            with mock.patch.object(datio, "_PARSE_ROWS", rows):
+                assert load_outcome(load_trace, path, kind) == expected
+                table = datio._parse_body(body, width)
+            if isinstance(expected[0], list) and all(line.strip() for line in body):
+                # a loadable file without blank lines takes the fast path
+                y = table[:, 1]
+                if kind == "reflection":
+                    y = table[:, 1:].copy().view(complex)[:, 0]
+                assert table[:, 0].copy().view(np.int64).tolist() == expected[0]
+                assert y.copy().view(np.float64).view(np.int64).tolist() == expected[1]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(sorted(TRACE_COLUMNS)),
+           x=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                      max_size=30, unique=True).map(sorted),
+           values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=60, max_size=60))
+    @example(kind="reflection", x=[-0.0, 1.0], values=[-0.0] * 30 + [2.5] * 30)
+    def test_save_load_round_trip_is_bitwise(self, tmp_path_factory, kind, x, values):
+        y = np.array(values[:len(x)])
+        if kind == "reflection":  # set, not summed, to keep a -0.0 real part
+            y = np.array(values[:len(x)], dtype=complex)
+            y.imag = values[30:30 + len(x)]
+        trace = Trace(x=x, y=y, kind=kind)
+        path = tmp_path_factory.mktemp("round") / "trace.csv"
+        save_trace(trace, path)
+        back = load_trace(path, kind)
+        assert back.x.view(np.int64).tolist() == trace.x.view(np.int64).tolist()
+        assert (back.y.view(np.float64).view(np.int64).tolist()
+                == trace.y.view(np.float64).view(np.int64).tolist())
+
     def test_three_line_reflection_file(self, tmp_path):
         path = tmp_path / "refl.csv"
         path.write_text(
