@@ -251,12 +251,10 @@ def _single_mode_signal(kappa, eta, g, delta, w):
     except OverflowError:  # Python float ** raises where numpy gives inf
         finite = False
     if not finite:
-        rates = {"kappa": kappa, "g": g, "delta": delta, "omega": w}
-        name = max(rates, key=lambda key: np.max(np.abs(rates[key])))
-        raise NonPhysical(
-            f"gain denominator overflows ({name} up to "
-            f"{np.max(np.abs(rates[name])):g} rad/s)"
-        )
+        size = {name: np.max(np.abs(rate)) for name, rate in
+                (("kappa", kappa), ("g", g), ("delta", delta), ("omega", w))}
+        name = max(size, key=size.get)
+        raise NonPhysical(f"gain denominator overflows ({name} up to {size[name]:g} rad/s)")
     _require_no_pole(den, scale, w, "gain")
     return eta * kappa * (kappa / 2.0 - 1j * (w + delta)) / den - 1.0, den
 
@@ -303,6 +301,8 @@ def single_mode_gain(
         If |g| >= kappa/2: the pump is above the parametric-oscillation
         threshold and the closed forms describe self-oscillation,
         not amplification.
+    NonPhysical
+        If D(w) overflows a double.
     """
     _require_stable(stability_single(res, g), g)
     w = np.asarray(omega_grid, dtype=float)
