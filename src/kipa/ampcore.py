@@ -330,12 +330,18 @@ def phase_sensitive_gain(res: ResonatorParams, g: float, delta_phi):
 
     Interference between the signal and idler responses makes the gain
     2*pi-periodic with amplification/de-amplification extrema pi apart.
-    Accepts a scalar or array of phase differences [rad].
+    Accepts a scalar or array of phase differences [rad]. Raises
+    NonPhysical where kappa overflows the gain factors.
     """
     _require_stable(stability_single(res, g), g)
     k = res.kappa
-    den = (k / 2.0) ** 2 - g**2
-    gs0 = res.eta * k * (k / 2.0) / den - 1.0
+    try:  # |g| < kappa/2, so only kappa can overflow
+        den = (k / 2.0) ** 2 - g**2
+        gs0 = res.eta * k * (k / 2.0) / den - 1.0
+    except OverflowError:  # Python float ** raises where * gives inf
+        gs0 = math.inf
+    if not math.isfinite(gs0):
+        raise NonPhysical(f"gain denominator overflows (kappa up to {k:g} rad/s)")
     gi0 = -1j * res.eta * k * g / den
     dphi = np.asarray(delta_phi, dtype=float)
     out = np.abs(gs0 + gi0 * np.exp(1j * dphi)) ** 2
@@ -634,20 +640,38 @@ def find_peaks_db(values_db, prominence_db: float = 3.0) -> list[int]:
     point count sample a resonance top as such a plateau). Prominence is
     the height above the higher of the two base levels, where each base
     is the minimum between the peak and the nearest higher sample (or
-    the grid edge). Runs in linear time; on finite values it returns the
-    indices of ``scipy.signal.find_peaks(values_db, prominence=...)[0]``.
+    the grid edge). On finite values it returns the indices of
+    ``scipy.signal.find_peaks(values_db, prominence=...)[0]``.
+
+    Only the turning points take part: both grid ends, NaNs and their
+    neighbours, and every sample not strictly between its two
+    neighbours. A sample on a strictly monotone slope changes no peak
+    and no base: it sits inside no run of equal samples, it has a lower
+    neighbour, so it is no minimum, and the top of its hill, a turning
+    point, is higher still. So the run search and the monotone stack of
+    :func:`_left_bases` see a handful of a smooth curve's samples; a
+    zigzag keeps all of them, and the run time stays linear.
     """
     y = np.asarray(values_db, dtype=float)
+    # NaN compares false, so NaNs and their neighbours stay turning points
+    before, mid, after = y[:-2], y[1:-1], y[2:]
+    slope = np.zeros(len(y), dtype=bool)
+    slope[1:-1] = ((before < mid) & (mid < after)) | ((before > mid) & (mid > after))
+    turns = np.flatnonzero(~slope)
+    z = y[turns]
     # runs of equal samples [start, end] short of the last sample; a peak
     # run rises in from the left and falls (or meets a NaN) on the right
-    ends = np.flatnonzero(y[1:] != y[:-1])
+    ends = np.flatnonzero(z[1:] != z[:-1])
     starts = np.concatenate(([0], ends + 1))[:-1]
-    peak = (starts > 0) & (y[starts] > y[starts - 1]) & ~(y[ends + 1] >= y[ends])
+    peak = (starts > 0) & (z[starts] > z[starts - 1]) & ~(z[ends + 1] >= z[ends])
     starts, ends = starts[peak], ends[peak]
-    left = _left_bases(y)
-    right = _left_bases(y[::-1])[::-1]
-    keep = y[starts] - np.maximum(left[starts], right[ends]) >= prominence_db
-    return ((starts[keep] + ends[keep]) // 2).tolist()
+    left = _left_bases(z)
+    right = _left_bases(z[::-1])[::-1]
+    # a difference near 1e308 rounds to inf; an infinite peak that is its
+    # own base has none (inf - inf is NaN)
+    with np.errstate(invalid="ignore", over="ignore"):
+        keep = z[starts] - np.maximum(left[starts], right[ends]) >= prominence_db
+    return ((turns[starts[keep]] + turns[ends[keep]]) // 2).tolist()
 
 
 def _refined_peak_height(y_db):
@@ -835,19 +859,22 @@ def pump_regime_map(
     eigs = np.linalg.eigvals(bare_drift(system, g, deltas, deltas))
     stable = np.flatnonzero(~(eigs.real.max(axis=-1) >= 0.0))  # skip self-oscillation
     rates = (system.mode_a.kappa, system.mode_b.kappa, system.mode_a.kappa_e, J, g)
-    peak = np.empty(len(stable), dtype=int)
-    for b in range(0, len(stable), _PUMP_BLOCK):
-        i = stable[b:b + _PUMP_BLOCK]
-        peak[b:b + _PUMP_BLOCK] = _grid_peaks(rates, deltas[i], 1j * eigs[i], w_grid)
-    # refine through the peak and its grid neighbours, -inf beyond the ends
-    near = peak[:, None] + np.arange(-1, 2)
-    inside = (near >= 0) & (near < len(w_grid))
-    window = np.full(near.shape, -np.inf)
-    window[inside] = power_db(_signal_a(
-        *rates, np.broadcast_to(deltas[stable, None], near.shape)[inside],
-        w_grid[near[inside]])[0])
     peak_db = np.full(len(pump), np.nan)
-    peak_db[stable] = _refined_peak_height(window)
+    # rates near 1e150 overflow the kernels to inf or NaN: the precision
+    # check below names that case, so numpy need not warn as well
+    with np.errstate(all="ignore"):
+        peak = np.empty(len(stable), dtype=int)
+        for b in range(0, len(stable), _PUMP_BLOCK):
+            i = stable[b:b + _PUMP_BLOCK]
+            peak[b:b + _PUMP_BLOCK] = _grid_peaks(rates, deltas[i], 1j * eigs[i], w_grid)
+        # refine through the peak and its grid neighbours, -inf beyond the ends
+        near = peak[:, None] + np.arange(-1, 2)
+        inside = (near >= 0) & (near < len(w_grid))
+        window = np.full(near.shape, -np.inf)
+        window[inside] = power_db(_signal_a(
+            *rates, np.broadcast_to(deltas[stable, None], near.shape)[inside],
+            w_grid[near[inside]])[0])
+        peak_db[stable] = _refined_peak_height(window)
 
     finite = np.isfinite(peak_db)
     if not finite.any():

@@ -53,6 +53,17 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_process(argv):
+    """Run ``python -m kipa`` on ``argv`` in a child process. In-process,
+    pytest turns a numpy RuntimeWarning into an error; a CLI process would
+    print it, with its source line, to stderr."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "kipa", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").strip().split("\n")
     header = lines[0].split(",")
@@ -366,8 +377,8 @@ class TestExitCodeRule:
         assert err == {
             "gain": "kipa: bias shift overflows: I_dc=1e+300 A against "
                     "I_star=0.00586 A\n",
-            # phase_sensitive_gain squares the Python float kappa/2 itself
-            "phase": "kipa: (34, 'Numerical result out of range')\n",
+            "phase": "kipa: gain denominator overflows (kappa up to 6.28319e+300 "
+                     "rad/s)\n",
         }[command]
 
     @pytest.mark.parametrize("command", ["gain", "phase", "double-gain", "regime-map",
@@ -401,18 +412,32 @@ class TestExitCodeRule:
         path = write_device(tmp_path, **fields)
         assert run_cli(capsys, ["gain", "--config", path]) == (3, "", f"kipa: {message}\n")
 
+    def test_overflowing_phase_numerator_is_numeric_error(self, capsys, tmp_path):
+        # (kappa/2)**2 fits a double here, kappa * kappa/2 does not
+        path = write_device(tmp_path, kappa_e_hz=3.5e153)
+        assert run_cli(capsys, ["phase", "--config", path]) == (
+            3, "", "kipa: gain denominator overflows (kappa up to 2.19911e+154 rad/s)\n")
+
     def test_overflowing_gain_denominator_prints_no_warning(self, tmp_path):
-        # in-process, pytest turns a numpy RuntimeWarning into an error; a
-        # CLI process would print it, with its source line, to stderr
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         path = write_device(tmp_path, kappa_e_hz=1e300)
-        result = subprocess.run([sys.executable, "-m", "kipa", "gain", "--config", path],
-                                env=env, capture_output=True, text=True, timeout=60)
+        result = run_process(["gain", "--config", path])
         assert (result.returncode, result.stdout) == (3, "")
         assert "Warning" not in result.stderr
         assert result.stderr.startswith("kipa: gain denominator overflows")
+
+    @pytest.mark.parametrize("section, name, value", [
+        ("ring", "kappa_e_hz", 1e150), ("auxiliary", "kappa_i_hz", 1e300),
+    ], ids=["ring_kappa_e_hz", "auxiliary_kappa_i_hz"])
+    def test_overflowing_regime_map_prints_no_warning(self, tmp_path, section, name,
+                                                      value):
+        doc = json.loads(json.dumps(DEVICE))
+        doc[section][name] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = run_process(["regime-map", "--config", str(path)])
+        assert (result.returncode, result.stdout) == (3, "")
+        assert "Warning" not in result.stderr
+        assert result.stderr.startswith("kipa: eigenvalue precision lost")
 
     def test_overflowing_detuning_is_numeric_error(self, capsys, config_path):
         code, out, err = run_cli(capsys, ["gain", "--config", config_path,

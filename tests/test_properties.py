@@ -1,13 +1,14 @@
 """Structural invariants of the closed forms, checked over seeded random
-parameter sweeps, and of the peak finder, checked against scipy over
-generated traces."""
+parameter sweeps, and of the peak finder, checked against scipy and
+against its all-sample reference over generated traces."""
 
 import math
 import time
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
@@ -23,6 +24,7 @@ from kipa import (
     single_mode_gain,
     stability_double,
 )
+from kipa import ampcore
 
 
 def random_resonator(rng, eta_low=0.5):
@@ -240,3 +242,81 @@ def test_find_peaks_nan_ends_a_run_but_is_no_base():
     # the 1, not the NaN, and the 6 stays the higher sample that bounds it
     assert find_peaks_db([0.0, 5.0, math.nan, 1.0, 6.0, 0.0], 3.0) == [1, 4]
     assert find_peaks_db([0.0, 5.0, math.nan, 3.0, 6.0, 0.0], 3.0) == [4]
+
+
+def reference_left_bases(values):
+    """For each sample, the minimum from it back to the nearest strictly
+    higher sample (or to the start), over every sample."""
+    bases = array("d")
+    heights, lows = [], []
+    for v in memoryview(values):
+        if v != v:
+            bases.append(v)
+            continue
+        low = v
+        while heights and heights[-1] <= v:
+            heights.pop()
+            m = lows.pop()
+            if m < low:
+                low = m
+        heights.append(v)
+        lows.append(low)
+        bases.append(low)
+    return np.frombuffer(bases)
+
+
+def reference_find_peaks_db(values_db, prominence_db):
+    """The peak finder with its bases taken over all samples."""
+    y = np.asarray(values_db, dtype=float)
+    ends = np.flatnonzero(y[1:] != y[:-1])
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    peak = (starts > 0) & (y[starts] > y[starts - 1]) & ~(y[ends + 1] >= y[ends])
+    starts, ends = starts[peak], ends[peak]
+    left = reference_left_bases(y)
+    right = reference_left_bases(y[::-1])[::-1]
+    keep = y[starts] - np.maximum(left[starts], right[ends]) >= prominence_db
+    return ((starts[keep] + ends[keep]) // 2).tolist()
+
+
+_EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308])
+_WILD = st.one_of(st.floats(min_value=-1e308, max_value=1e308), _EXTREMES)
+_WILD_TRACES = st.one_of(
+    st.lists(_WILD, max_size=200),
+    st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 5.0]), _EXTREMES),
+             max_size=200),
+    st.lists(_WILD, min_size=1, max_size=4).flatmap(
+        lambda levels: st.lists(st.sampled_from(levels), max_size=200)
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(values=_WILD_TRACES, prominence=st.sampled_from([0.0, 1.0, 3.0]))
+@example(values=[0.0, math.inf, math.nan], prominence=3.0)
+@example(values=[0.0, 5.0, math.nan, 1.0, 6.0, 0.0], prominence=3.0)
+@example(values=[9.0, 1.0, 2.0, 1.0, 9.0], prominence=0.0)
+@example(values=[0.0, 4.0, 0.0, 2.0, 9.0], prominence=3.0)
+@example(values=[1.0, 2.0, 0.0, 3.0, -1.0, 4.0, -2.0, 5.0], prominence=1.0)
+def test_find_peaks_matches_all_sample_reference(values, prominence):
+    # the all-sample subtraction warns where a difference overflows or is
+    # inf - inf; the peak finder under test must not
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference_find_peaks_db(values, prominence)
+    assert find_peaks_db(values, prominence) == expected
+
+
+def test_find_peaks_stack_sees_only_turning_points(monkeypatch):
+    w = np.linspace(-1.0, 1.0, 20001)
+    gain = 1.0 + sum(30.0 / (1.0 + ((w - c) / 0.02) ** 2) for c in (-0.3, 0.3))
+    gain_db = 10.0 * np.log10(gain)
+    lengths = []
+    left_bases = ampcore._left_bases
+
+    def recording(values):
+        lengths.append(len(values))
+        return left_bases(values)
+
+    monkeypatch.setattr(ampcore, "_left_bases", recording)
+    peaks = find_peaks_db(gain_db, 3.0)
+    assert peaks == reference_find_peaks_db(gain_db, 3.0) == [7000, 13000]
+    assert lengths and max(lengths) < 100
