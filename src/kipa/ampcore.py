@@ -225,38 +225,75 @@ def susceptibility(
     return num / den
 
 
-def _single_mode_factors(kappa, eta, g, delta, phi_p, w):
-    """Signal and idler gain factors of :func:`single_mode_gain` at ``w``.
+def _single_mode_factors(kappa, eta, g, delta, phi_p, grid):
+    """Signal and idler gain factors of :func:`single_mode_gain` on the
+    offsets of ``grid`` (from :func:`_grid_terms`).
 
-    Every argument may be a scalar or an array; they broadcast, so one
-    call evaluates many working points at once (one per element). Raises
-    NonPhysical or PoleAtFrequency as :func:`_single_mode_signal` does;
-    stability is the caller's check.
+    Every rate may be a scalar or an array; they broadcast with the
+    offsets, so one call evaluates many working points at once (one per
+    element). Raises NonPhysical or PoleAtFrequency as
+    :func:`_single_mode_signal` does; stability is the caller's check.
     """
-    signal, den = _single_mode_signal(kappa, eta, g, delta, w)
+    signal, den = _single_mode_signal(kappa, eta, g, delta, grid)
     return signal, _single_mode_idler(kappa, eta, g, phi_p, den)
 
 
-def _single_mode_signal(kappa, eta, g, delta, w):
-    """(signal, D): the signal gain factor of :func:`single_mode_gain` at
-    ``w`` and its denominator D(w); arguments broadcast. Raises
-    NonPhysical where D or its scale overflows, naming the largest rate,
-    and PoleAtFrequency at the first pole; stability is the caller's
-    check."""
+def _grid_terms(w):
+    """(w, i*w, max w**2): the terms of :func:`_single_mode_signal` that
+    depend only on the offsets ``w`` [rad/s], built once per grid. Max
+    w**2 is 0 on an empty grid; i*w is None where max w**2 is not finite,
+    and the kernel then raises before it needs i*w."""
+    w = np.asarray(w, dtype=float)
+    w_max = float(np.max(np.abs(w), initial=0.0))
+    w2_max = w_max * w_max  # a Python float: inf, no warning
+    return w, 1j * w if math.isfinite(w2_max) else None, w2_max
+
+
+def _single_mode_signal(kappa, eta, g, delta, grid):
+    """(signal, D): the signal gain factor of :func:`single_mode_gain` on
+    the offsets of ``grid`` (from :func:`_grid_terms`) and its denominator
+    D(w); arguments broadcast. Raises NonPhysical where D or its scale
+    overflows, naming the largest rate, and PoleAtFrequency at the first
+    pole; stability is the caller's check.
+
+    The scale of D at w is delta**2 + g**2 + kappa**2/4 + w**2, and
+    |D| <= scale. For scalar rates one bound, that sum at max w**2, decides
+    the overflow: if it is finite, no array operation here can overflow.
+    A sample is a pole where |D| <= 1e-12 scale. For |g| < kappa/2 and any
+    real w and delta, |D(w)| >= kappa**2/4 - g**2, because the roots of D
+    lie at -i(kappa/2 +- sqrt(g**2 - delta**2)) or have imaginary part
+    -kappa/2. So the per-sample scan runs only where
+    kappa**2/4 - g**2 <= 4e-12 bound: near threshold (or above it), and
+    always for array rates, as the oracle passes.
+    """
+    w, iw, w2_max = grid
+    scalar = not (getattr(kappa, "ndim", 0) or getattr(g, "ndim", 0)
+                  or getattr(delta, "ndim", 0))
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            den = delta**2 - g**2 + (1j * w - kappa / 2.0) ** 2
-            scale = delta**2 + g**2 + (kappa / 2.0) ** 2 + w**2
-        finite = np.isfinite(scale).all()  # |D| <= scale: a finite scale bounds D
-    except OverflowError:  # Python float ** raises where numpy gives inf
+        if scalar:  # Python float ** raises OverflowError where numpy gives inf
+            g2, k2 = float(g) ** 2, (float(kappa) / 2.0) ** 2
+            rates = float(delta) ** 2 + g2 + k2
+            finite = math.isfinite(rates + w2_max)
+        else:  # one scale per sample
+            with np.errstate(over="ignore", invalid="ignore"):
+                scale = delta**2 + g**2 + (kappa / 2.0) ** 2 + w**2
+            finite = np.isfinite(scale).all()
+    except OverflowError:
         finite = False
     if not finite:
         size = {name: np.max(np.abs(rate)) for name, rate in
                 (("kappa", kappa), ("g", g), ("delta", delta), ("omega", w))}
         name = max(size, key=size.get)
         raise NonPhysical(f"gain denominator overflows ({name} up to {size[name]:g} rad/s)")
-    _require_no_pole(den, scale, w, "gain")
-    return eta * kappa * (kappa / 2.0 - 1j * (w + delta)) / den - 1.0, den
+    den = delta**2 - g**2 + (iw - kappa / 2.0) ** 2
+    # the absolute 1e-300 keeps the scan where squares are subnormal and
+    # round by more than their relative error
+    if not (scalar and k2 - g2 > 4.0 * _POLE_RTOL * (rates + w2_max) + 1e-300):
+        _require_no_pole(den, rates + w**2 if scalar else scale, w, "gain")
+    # i(w + delta) at delta = 0 is i*w up to the sign of a zero real part,
+    # which kappa/2 - i(w + delta) drops: the cached i*w gives the same bits
+    shifted = iw if scalar and delta == 0 else 1j * (w + delta)
+    return eta * kappa * (kappa / 2.0 - shifted) / den - 1.0, den
 
 
 def _single_mode_idler(kappa, eta, g, phi_p, den):
@@ -305,9 +342,9 @@ def single_mode_gain(
         If D(w) overflows a double.
     """
     _require_stable(stability_single(res, g), g)
-    w = np.asarray(omega_grid, dtype=float)
-    signal, idler = _single_mode_factors(res.kappa, res.eta, g, delta, phi_p, w)
-    return ComplexSpectrum(w, signal), ComplexSpectrum(w, idler)
+    grid = _grid_terms(omega_grid)
+    signal, idler = _single_mode_factors(res.kappa, res.eta, g, delta, phi_p, grid)
+    return ComplexSpectrum(grid[0], signal), ComplexSpectrum(grid[0], idler)
 
 
 def on_resonance_gain(res: ResonatorParams, g: float) -> float:

@@ -11,6 +11,12 @@ Traces and fitted parameters live in Hz / ampere / kelvin (measurement
 units); conversion to internal angular units happens inside the model
 functions. Parameter uncertainties are the linearized covariance at the
 optimum scaled by the residual variance, i.e. approximate.
+
+The reflection and gain-profile models share the signal kernel of
+:func:`ampcore.single_mode_gain`. Its grid terms (the angular offsets
+from the trial center and what depends only on them) are built once per
+fit and per center: a fit rebuilds them only when a trial point moves
+the center.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .errors import (
     PoleAtFrequency,
     UnstableFit,
 )
-from .params import ResonatorParams, Trace, hz_to_angular, power_db, power_linear
+from .params import ResonatorParams, Trace, hz_to_angular, power_linear
 
 
 @dataclass
@@ -180,39 +186,66 @@ def _resonator(f0, kappa_e_hz, kappa_i_hz) -> ResonatorParams:
     )
 
 
-def _signal(res: ResonatorParams, g, f_hz, f_center):
+def _offsets(f_hz, f_center):
+    """Grid terms (see :func:`ampcore._grid_terms`) of the angular offsets
+    of ``f_hz`` from ``f_center``, and whether the offsets strictly
+    increase."""
+    w = hz_to_angular(np.asarray(f_hz) - f_center)
+    return ampcore._grid_terms(w), bool((w[1:] > w[:-1]).all())
+
+
+def _offsets_per_center():
+    """:func:`_offsets` for the one trace of a fit, rebuilt only when the
+    trial center changes: three of the four Jacobian columns of the gain
+    fit, and most of its starting candidates, share a center."""
+    last = {}
+
+    def offsets(f_hz, f_center):
+        key = float(f_center).hex()  # tells -0.0 from 0.0; NaN matches NaN
+        if key not in last:
+            last.clear()
+            last[key] = _offsets(f_hz, f_center)
+        return last[key]
+
+    return offsets
+
+
+def _signal(res: ResonatorParams, g, f_hz, f_center, offsets):
     """Signal gain factor of :func:`ampcore.single_mode_gain` at zero
     detuning and phase, on rates kept as scalars (an array square may
-    round g**2 differently). Raises ValueError where single_mode_gain's
-    checks do (|g| >= kappa/2, offsets not strictly increasing) and on an
-    overflow; a pole raises PoleAtFrequency."""
+    round g**2 differently) and the grid terms ``offsets(f_hz, f_center)``.
+    Raises ValueError where single_mode_gain's checks do (|g| >= kappa/2,
+    offsets not strictly increasing) and on an overflow; a pole raises
+    PoleAtFrequency."""
     kappa = res.kappa
     if not abs(g) < kappa / 2.0:
         raise ValueError(
             f"g={g:g} rad/s is at or above the oscillation threshold "
             f"kappa/2={kappa / 2.0:g} rad/s"
         )
-    w = hz_to_angular(np.asarray(f_hz) - f_center)
+    grid, increasing = offsets(f_hz, f_center)
     try:
-        signal, _ = ampcore._single_mode_signal(kappa, res.eta, g, 0.0, w)
+        signal, _ = ampcore._single_mode_signal(kappa, res.eta, g, 0.0, grid)
     except NonPhysical as exc:
         raise ValueError(str(exc)) from exc
-    if not (w[1:] > w[:-1]).all():  # a far-off center collapses the offsets
+    if not increasing:  # a far-off center collapses the offsets
         raise ValueError("frequency offsets must be strictly increasing")
     return signal
 
 
-def _reflection_model(f_hz, f0, kappa_e_hz, kappa_i_hz):
-    return _signal(_resonator(f0, kappa_e_hz, kappa_i_hz), 0.0, f_hz, f0)
+def _reflection_model(f_hz, f0, kappa_e_hz, kappa_i_hz, offsets=_offsets):
+    return _signal(_resonator(f0, kappa_e_hz, kappa_i_hz), 0.0, f_hz, f0, offsets)
 
 
-def _gain_model_db(f_hz, g_hz, kappa_e_hz, kappa_i_hz, f_center):
+def _gain_model_db(f_hz, g_hz, kappa_e_hz, kappa_i_hz, f_center, offsets=_offsets):
     res = _resonator(max(f_center, 1.0), kappa_e_hz, kappa_i_hz)
     try:
-        signal = _signal(res, hz_to_angular(g_hz), f_hz, f_center)
+        signal = _signal(res, hz_to_angular(g_hz), f_hz, f_center, offsets)
     except PoleAtFrequency as exc:  # infeasible trial point
         raise ValueError(str(exc)) from exc
-    return power_db(np.abs(signal) ** 2)
+    # power_db(np.abs(signal) ** 2), in place on the one temporary
+    power = np.square(np.abs(signal))
+    return np.multiply(10.0, np.log10(power, out=power), out=power)
 
 
 def _noise_model(T, g_tot, n_add, omega):
@@ -282,9 +315,12 @@ def fit_reflection(trace: Trace, init: dict | None = None) -> FitResult:
     span = float(f[-1] - f[0])
     scale = np.array([span, p0[1] + p0[2], p0[1] + p0[2]])
 
+    offsets = _offsets_per_center()
+
     def residuals(p):
-        model = _reflection_model(f, *p)
-        return np.concatenate([(model - y).real, (model - y).imag])
+        model = _reflection_model(f, *p, offsets)
+        np.subtract(model, y, out=model)
+        return np.concatenate([model.real, model.imag])
 
     names = ("f0_hz", "kappa_e_hz", "kappa_i_hz")
     p, iterations, r = damped_least_squares(residuals, p0, scale=scale)
@@ -301,7 +337,12 @@ def fit_bias_sweep(trace: Trace) -> FitResult:
     regression covariance.
     """
     _require_trace(trace, "bias_shift", "fit_bias_sweep", "bias sweep")
-    i_sq = trace.x.astype(float) ** 2
+    with np.errstate(over="ignore"):
+        i_sq = trace.x.astype(float) ** 2
+    if not np.isfinite(i_sq).all():
+        raise NonPhysical(
+            f"a bias current of {np.max(np.abs(trace.x)):g} A overflows when squared"
+        )
     design = np.column_stack([np.ones_like(i_sq), i_sq])
     if np.linalg.matrix_rank(design) < 2:
         raise IllConditioned("bias sweep has no current variation")
@@ -361,6 +402,10 @@ def _gain_profile_starts(f, y_db, kappa_hint):
     if deviation.max() < 1e-6:  # featureless trace: let the optimizer decide
         return [default]
     unit = span / 4.0
+    try:
+        unit_sq = unit**2
+    except OverflowError:
+        raise NonPhysical(f"a frequency span of {span:g} Hz overflows when squared") from None
     starts = []
 
     # linewidth backbone from the half-maximum width of the feature: the
@@ -380,17 +425,17 @@ def _gain_profile_starts(f, y_db, kappa_hint):
         )
         a, b, c, d = (float(v) for v in coef)
         s = math.sqrt(max(d, 0.0))
-        kappa_sq = (c + 2.0 * s) * unit**2
+        kappa_sq = (c + 2.0 * s) * unit_sq
         if not kappa_sq > 0:
             return
         kappa = kappa_hint if kappa_hint else math.sqrt(kappa_sq)
-        g = math.sqrt(max(kappa_sq / 4.0 - s * unit**2, 0.0))
+        g = math.sqrt(max(kappa_sq / 4.0 - s * unit_sq, 0.0))
         g = min(g, 0.98 * kappa / 2.0)  # keep the start strictly stable
         # A = eta k^2/2 - k^2/4 + g^2 is known only as A^2, so both sign
         # branches become candidates; the caller decides by the residual
         etas = []
         for amp in (math.sqrt(max(b, 0.0)), -math.sqrt(max(b, 0.0))):
-            t = (a * unit**2 - 2.0 * amp * unit**2) / kappa_sq
+            t = (a * unit_sq - 2.0 * amp * unit_sq) / kappa_sq
             if t < 0:
                 continue
             candidate = 1.0 - math.sqrt(t)
@@ -445,8 +490,11 @@ def fit_gain_profile(trace: Trace, kappa_hint: float | None = None) -> FitResult
     y_db = trace.y.astype(float)
     span = float(f[-1] - f[0])
 
+    offsets = _offsets_per_center()
+
     def residuals(p):
-        return _gain_model_db(f, *p) - y_db
+        model = _gain_model_db(f, *p, offsets)
+        return np.subtract(model, y_db, out=model)
 
     def start_cost(start):
         try:
@@ -520,6 +568,14 @@ def fit_noise_temperature(trace: Trace, omega: float) -> FitResult:
     def residuals(p):
         return _noise_model(T, p[0], p[1], omega) - y
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = residuals(p0)
+        start_finite = np.isfinite(start @ start)
+    if not start_finite:
+        raise NonPhysical(
+            f"noise fit overflows at its start (noise density up to "
+            f"{np.max(np.abs(y)):g} W/Hz at omega={omega:g} rad/s)"
+        )
     names = ("g_tot", "n_add")
     p, iterations, r = damped_least_squares(residuals, p0, scale=scale)
     result = _result(residuals, p, iterations, r, scale, names)

@@ -449,7 +449,8 @@ def transfer_equivalence(draws: int, seed: int) -> dict:
     m = _transfer(_single_drift(kappa, g, delta, phi_p),
                   *_io_matrices(kappa_e[:, None], kappa_i[:, None]), omega)
     report["max_rel_err_single"] = _max_rel_err(
-        ampcore._single_mode_factors(kappa, kappa_e / kappa, g, delta, phi_p, omega),
+        ampcore._single_mode_factors(kappa, kappa_e / kappa, g, delta, phi_p,
+                                     ampcore._grid_terms(omega)),
         m, (SINGLE_SIGNAL, SINGLE_IDLER),
     )
     m = _transfer(

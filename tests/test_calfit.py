@@ -16,7 +16,6 @@ from kipa import (
     PoleAtFrequency,
     ResonatorParams,
     Trace,
-    UnstableRegime,
     fit_bias_sweep,
     fit_gain_profile,
     fit_lorentzian,
@@ -73,34 +72,60 @@ def noise_trace(g_tot, n_add, omega, temps, noise_frac=0.0, rng=None):
     return Trace(x=temps, y=y, kind="noise_psd")
 
 
-def reference_reflection_model(f_hz, f0, kappa_e_hz, kappa_i_hz):
-    """The reflection model as it was built on the public single_mode_gain."""
-    res = ResonatorParams(
-        omega0=hz_to_angular(f0),
-        kappa_e=hz_to_angular(kappa_e_hz),
-        kappa_i=hz_to_angular(kappa_i_hz),
-    )
-    signal, _ = single_mode_gain(
-        res, 0.0, 0.0, 0.0, hz_to_angular(np.asarray(f_hz) - f0)
-    )
-    return signal.values
+def reference_single_mode_signal(kappa, eta, g, delta, w):
+    """The signal kernel before its grid terms: (signal, D) with the full
+    scale array under errstate and a pole scan on every sample."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            den = delta**2 - g**2 + (1j * w - kappa / 2.0) ** 2
+            scale = delta**2 + g**2 + (kappa / 2.0) ** 2 + w**2
+        finite = np.isfinite(scale).all()
+    except OverflowError:  # Python float ** raises where numpy gives inf
+        finite = False
+    if not finite:
+        size = {name: np.max(np.abs(rate)) for name, rate in
+                (("kappa", kappa), ("g", g), ("delta", delta), ("omega", w))}
+        name = max(size, key=size.get)
+        raise NonPhysical(f"gain denominator overflows ({name} up to {size[name]:g} rad/s)")
+    pole = np.abs(den) <= 1e-12 * scale
+    if np.any(pole):
+        raise PoleAtFrequency(f"gain pole at omega={w[pole][0]:g} rad/s")
+    return eta * kappa * (kappa / 2.0 - 1j * (w + delta)) / den - 1.0, den
 
 
-def reference_gain_model_db(f_hz, g_hz, kappa_e_hz, kappa_i_hz, f_center):
-    """The gain-profile model as it was built on the public single_mode_gain."""
+def reference_signal(f_hz, f_center, kappa_e_hz, kappa_i_hz, g_hz):
+    """The fit models' signal factor on the reference kernel, checked as
+    single_mode_gain checks it: ValueError at or above threshold, on an
+    overflow and for offsets that do not strictly increase; a pole raises
+    PoleAtFrequency."""
     res = ResonatorParams(
         omega0=hz_to_angular(max(f_center, 1.0)),
         kappa_e=hz_to_angular(kappa_e_hz),
         kappa_i=hz_to_angular(kappa_i_hz),
     )
+    g = hz_to_angular(g_hz)
+    if not abs(g) < res.kappa / 2.0:
+        raise ValueError("at or above the oscillation threshold")
+    w = hz_to_angular(np.asarray(f_hz) - f_center)
     try:
-        signal, _ = single_mode_gain(
-            res, hz_to_angular(g_hz), 0.0, 0.0,
-            hz_to_angular(np.asarray(f_hz) - f_center),
-        )
-    except (UnstableRegime, PoleAtFrequency) as exc:  # infeasible trial point
+        signal, _ = reference_single_mode_signal(res.kappa, res.eta, g, 0.0, w)
+    except NonPhysical as exc:
         raise ValueError(str(exc)) from exc
-    return signal.power_db
+    if not (w[1:] > w[:-1]).all():
+        raise ValueError("frequency offsets must be strictly increasing")
+    return signal
+
+
+def reference_reflection_model(f_hz, f0, kappa_e_hz, kappa_i_hz):
+    return reference_signal(f_hz, f0, kappa_e_hz, kappa_i_hz, 0.0)
+
+
+def reference_gain_model_db(f_hz, g_hz, kappa_e_hz, kappa_i_hz, f_center):
+    try:
+        signal = reference_signal(f_hz, f_center, kappa_e_hz, kappa_i_hz, g_hz)
+    except PoleAtFrequency as exc:  # infeasible trial point
+        raise ValueError(str(exc)) from exc
+    return 10.0 * np.log10(np.abs(signal) ** 2)
 
 
 def outcome(model, *args):
@@ -147,6 +172,12 @@ _OFFSETS = st.lists(st.one_of(st.just(0.0), st.floats(-5.0, 5.0)), min_size=1,
 # not finite (-inf passes max(f_center, 1) and overflows, so it is left out)
 _CENTER_SHIFT = mostly(st.floats(-3.0, 3.0), 0.0, 1e25, math.nan, math.inf)
 
+# on a grid of +-2 linewidths around the center, kappa**2/4 - g**2 is 0.97
+# (scanned) and 1.03 (not scanned) times the pole-scan gate 4e-12 max scale
+_GATE_OFFSETS = [-2.0, -1.0, 0.0, 1.0, 2.0]
+_SCANNED_G_FRAC = 1.0 - 3.5e-11
+_UNSCANNED_G_FRAC = 1.0 - 3.7e-11
+
 
 def model_grid(kappa_e_hz, kappa_i_hz, offsets, shift):
     """A trace grid around 7 GHz in units of the drawn linewidth (1 MHz when
@@ -160,9 +191,9 @@ def model_grid(kappa_e_hz, kappa_i_hz, offsets, shift):
 
 
 class TestSignalOnlyModels:
-    """The fit models call the signal kernel with plain rates; they equal the
-    models built on single_mode_gain bit for bit and reject the same trial
-    points."""
+    """The fit models and single_mode_gain call the signal kernel on grid
+    terms, with a pole scan only near threshold; they equal the models built
+    on the reference kernel bit for bit and reject the same trial points."""
 
     @settings(derandomize=True, max_examples=500, deadline=None)
     @given(kappa_e_hz=_KAPPA_E, kappa_i_hz=_KAPPA_I, g_frac=_G_FRAC,
@@ -173,6 +204,11 @@ class TestSignalOnlyModels:
     # numpy's array square: a model that squares its rates as arrays fails
     @example(kappa_e_hz=np.float64(25e6), kappa_i_hz=np.float64(5e6), g_frac=0.6314,
              offsets=np.linspace(-2.0, 2.0, 41).tolist(), shift=0.0)
+    # kappa**2/4 - g**2 at 0.97 and 1.03 times the pole-scan gate 4e-12 max scale
+    @example(kappa_e_hz=np.float64(25e6), kappa_i_hz=np.float64(5e6),
+             g_frac=_SCANNED_G_FRAC, offsets=_GATE_OFFSETS, shift=0.0)
+    @example(kappa_e_hz=np.float64(25e6), kappa_i_hz=np.float64(5e6),
+             g_frac=_UNSCANNED_G_FRAC, offsets=_GATE_OFFSETS, shift=0.0)
     def test_gain_model_matches_reference(self, kappa_e_hz, kappa_i_hz, g_frac,
                                           offsets, shift):
         f, center = model_grid(kappa_e_hz, kappa_i_hz, offsets, shift)
@@ -190,6 +226,46 @@ class TestSignalOnlyModels:
         args = (f, f0, kappa_e_hz, kappa_i_hz)
         assert_same_outcome(outcome(calfit._reflection_model, *args),
                             outcome(reference_reflection_model, *args))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(kappa_e_hz=st.floats(1e3, 1e9), kappa_i_hz=st.floats(0.0, 1e9),
+           g_frac=mostly(st.floats(-0.999, 0.999), 1.0 - 1e-13, _SCANNED_G_FRAC,
+                         _UNSCANNED_G_FRAC),
+           delta_frac=mostly(st.floats(-3.0, 3.0), 0.0, 1e-7),
+           offsets=_OFFSETS, phi_p=st.floats(0.0, 2.0 * math.pi))
+    @example(kappa_e_hz=25e6, kappa_i_hz=5e6, g_frac=0.9, delta_frac=0.7,
+             offsets=np.linspace(-2.0, 2.0, 41).tolist(), phi_p=0.3)
+    def test_single_mode_gain_matches_reference(self, kappa_e_hz, kappa_i_hz, g_frac,
+                                                delta_frac, offsets, phi_p):
+        res = ResonatorParams(omega0=hz_to_angular(7.0e9),
+                              kappa_e=hz_to_angular(kappa_e_hz),
+                              kappa_i=hz_to_angular(kappa_i_hz))
+        g = g_frac * res.kappa / 2.0
+        delta = delta_frac * res.kappa
+        w = res.kappa * np.array(offsets)
+        new = outcome(single_mode_gain, res, g, delta, phi_p, w)
+        reference = outcome(reference_single_mode_signal, res.kappa, res.eta, g, delta, w)
+        if isinstance(reference, Exception):
+            assert type(new) is type(reference) and str(new) == str(reference), new
+            return
+        signal, den = reference
+        idler = -1j * res.eta * res.kappa * g * np.exp(1j * phi_p) / den
+        assert np.array_equal(new[0].values.view(float), signal.view(float))
+        assert np.array_equal(new[1].values.view(float), idler.view(float))
+
+    @pytest.mark.parametrize("g_frac, scans", [(_SCANNED_G_FRAC, 1),
+                                               (_UNSCANNED_G_FRAC, 0)])
+    def test_pole_scan_runs_only_near_threshold(self, monkeypatch, g_frac, scans):
+        from kipa import ampcore
+
+        calls = []
+        scan = ampcore._require_no_pole
+        monkeypatch.setattr(ampcore, "_require_no_pole",
+                            lambda *args: calls.append(1) or scan(*args))
+        f, center = model_grid(np.float64(25e6), np.float64(5e6), _GATE_OFFSETS, 0.0)
+        calfit._gain_model_db(f, np.float64(g_frac * 15e6), np.float64(25e6),
+                              np.float64(5e6), center)
+        assert len(calls) == scans
 
     def test_pole_is_an_infeasible_trial_point(self):
         # g a hair below kappa/2 puts a pole on the zero-offset sample
@@ -379,6 +455,28 @@ class TestFitGainProfile:
 
         with pytest.raises(ValueError, match="threshold"):
             calfit._gain_model_db([7.0e9], 20e6, 25e6, 5e6, 7.0e9)  # g > kappa/2
+
+    def test_grid_terms_once_per_center_and_no_pole_scan(self, monkeypatch):
+        from kipa import ampcore
+
+        # a working point at 0.9 of threshold is far from any pole
+        trace = gain_trace(7.0e9, 0.9 * 15e6, 25e6, 5e6, points=2001)
+        calls = {"_grid_terms": 0, "_single_mode_signal": 0, "_require_no_pole": 0}
+
+        def counted(name):
+            function = getattr(ampcore, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ampcore, name, counted(name))
+        fit_gain_profile(trace)
+        assert calls["_single_mode_signal"] > 100
+        assert 2 * calls["_grid_terms"] < calls["_single_mode_signal"], calls
+        assert calls["_require_no_pole"] == 0
 
     def test_unrelated_model_error_propagates(self, monkeypatch):
         from kipa import ampcore, calfit

@@ -521,6 +521,33 @@ class TestFitCommands:
         assert out == ""
         assert err == "kipa: a gain of 1e+308 dB overflows as a linear power\n"
 
+    def test_fit_gain_on_a_huge_span_is_numeric_error(self, capsys, tmp_path):
+        path = tmp_path / "huge_span.csv"
+        save_trace(Trace(x=np.array([1e300, 2e300, 3e300, 4e300, 5e300]),
+                         y=np.array([1.0, 3.0, 10.0, 3.0, 1.0]), kind="gain_db"), path)
+        code, out, err = run_cli(capsys, ["fit-gain", str(path)])
+        assert (code, out) == (3, "")
+        assert err == "kipa: a frequency span of 4e+300 Hz overflows when squared\n"
+
+    @pytest.mark.parametrize("command, kind, x, y, extra, message", [
+        ("fit-bias", "bias_shift", [0.0, 1e300, 2e300], [7.0e9, 6.9e9, 6.6e9], [],
+         "a bias current of 2e+300 A overflows when squared"),
+        ("fit-noise", "noise_psd", [0.05, 0.1, 0.2], [1e298, 1e299, 1e300],
+         ["--f-hz", "7e9"], "noise fit overflows at its start (noise density up to "
+         "1e+300 W/Hz at omega=4.39823e+10 rad/s)"),
+        ("fit-noise", "noise_psd", [0.05, 0.1, 0.2], [1.2e-20, 1.5e-20, 2.1e-20],
+         ["--f-hz", "1e300"], "noise fit overflows at its start (noise density up to "
+         "2.1e-20 W/Hz at omega=6.28319e+300 rad/s)"),
+    ], ids=["bias_current", "noise_density", "noise_frequency"])
+    def test_overflowing_fit_input_prints_no_warning(self, tmp_path, command, kind, x, y,
+                                                     extra, message):
+        path = tmp_path / "huge.csv"
+        save_trace(Trace(x=np.array(x), y=np.array(y), kind=kind), path)
+        result = run_process([command, str(path)] + extra)
+        assert (result.returncode, result.stdout) == (3, "")
+        assert "Warning" not in result.stderr
+        assert result.stderr == f"kipa: {message}\n"
+
     def test_fit_noise_rejects_zero_kelvin_row(self, capsys, tmp_path):
         T = np.array([0.0, 0.05, 0.1, 0.2, 0.4, 0.8, 1.6])
         path = tmp_path / "zero_k.csv"
