@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPhysical, PoleAtFrequency, RWAViolation, UnstableRegime
+from .errors import finite_or_nonphysical as _finite
 from .params import (
     ComplexSpectrum,
     CoupledSystem,
@@ -57,15 +58,8 @@ def bias_frequency_shift(omega0: float, I_dc: float, I_star: float) -> float:
     """
     if not I_star > 0:
         raise ValueError(f"I_star must be > 0, got {I_star!r}")
-    try:
-        shift = -(omega0 / 2.0) * (I_dc / I_star) ** 2
-    except OverflowError:
-        shift = -math.inf
-    if not math.isfinite(shift):
-        raise NonPhysical(
-            f"bias shift overflows: I_dc={I_dc:g} A against I_star={I_star:g} A"
-        )
-    return shift
+    return _finite(lambda: -(omega0 / 2.0) * (I_dc / I_star) ** 2,
+                   f"bias shift overflows: I_dc={I_dc:g} A against I_star={I_star:g} A")
 
 
 def pump_rate(pump: PumpConfig, film: KineticFilm, omega0: float) -> float:
@@ -82,16 +76,9 @@ def pump_rate(pump: PumpConfig, film: KineticFilm, omega0: float) -> float:
     if pump.g is not None:
         return pump.g
     i_p = pump.cal * math.sqrt(2.0 * pump.P_p / pump.Z_ref)
-    try:
-        g = abs(pump.I_dc * i_p * omega0 / (4.0 * film.I_star**2))
-    except (OverflowError, ZeroDivisionError):  # I_star**2 beyond a double
-        g = math.inf
-    if not math.isfinite(g):
-        raise NonPhysical(
-            f"pump rate overflows: I_dc={pump.I_dc:g} A and I_p={i_p:g} A "
-            f"against I_star={film.I_star:g} A"
-        )
-    return g
+    return _finite(lambda: abs(pump.I_dc * i_p * omega0 / (4.0 * film.I_star**2)),
+                   f"pump rate overflows: I_dc={pump.I_dc:g} A and I_p={i_p:g} A "
+                   f"against I_star={film.I_star:g} A")
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +130,17 @@ def stability_double(system: CoupledSystem, g: float) -> DoubleModeStability:
 def _double_stability(kappa_a, kappa_b, J, g) -> DoubleModeStability:
     """:func:`stability_double` at rate level, with numpy fields; arguments
     broadcast. Raises NonPhysical at the first threshold that overflows."""
-    with np.errstate(over="ignore"):
+    def overflow(values):
+        bad = np.flatnonzero(~np.isfinite(values[1]))[0]
+        j, ka, kb = (v.flat[bad] for v in np.broadcast_arrays(J, kappa_a, kappa_b))
+        return (f"coupled-system threshold overflows: J={j:g} rad/s against "
+                f"kappa_a={ka:g}, kappa_b={kb:g} rad/s")
+
+    def thresholds():
         c0 = 4.0 * _squares(J) / (kappa_a * kappa_b)
-        threshold = kappa_a * (1.0 + c0) / 2.0
-    bad = np.flatnonzero(~np.isfinite(threshold))
-    if len(bad):
-        J, ka, kb = (v.flat[bad[0]] for v in np.broadcast_arrays(J, kappa_a, kappa_b))
-        raise NonPhysical(
-            f"coupled-system threshold overflows: J={J:g} rad/s against "
-            f"kappa_a={ka:g}, kappa_b={kb:g} rad/s"
-        )
+        return c0, kappa_a * (1.0 + c0) / 2.0
+
+    c0, threshold = _finite(thresholds, overflow)
     return DoubleModeStability(
         stable=abs(g) < threshold, cooperativity=c0, threshold=threshold,
         margin=threshold - abs(g),
@@ -372,13 +360,10 @@ def phase_sensitive_gain(res: ResonatorParams, g: float, delta_phi):
     """
     _require_stable(stability_single(res, g), g)
     k = res.kappa
-    try:  # |g| < kappa/2, so only kappa can overflow
-        den = (k / 2.0) ** 2 - g**2
-        gs0 = res.eta * k * (k / 2.0) / den - 1.0
-    except OverflowError:  # Python float ** raises where * gives inf
-        gs0 = math.inf
-    if not math.isfinite(gs0):
-        raise NonPhysical(f"gain denominator overflows (kappa up to {k:g} rad/s)")
+    overflow = f"gain denominator overflows (kappa up to {k:g} rad/s)"
+    # |g| < kappa/2, so only kappa can overflow
+    den = _finite(lambda: (k / 2.0) ** 2 - g**2, overflow)
+    gs0 = _finite(lambda: res.eta * k * (k / 2.0) / den - 1.0, overflow)
     gi0 = -1j * res.eta * k * g / den
     dphi = np.asarray(delta_phi, dtype=float)
     out = np.abs(gs0 + gi0 * np.exp(1j * dphi)) ** 2
@@ -594,12 +579,15 @@ def _bare_factors(kappa_a, kappa_b, kappa_ae, kappa_be, J, g, delta_a,
     :func:`double_mode_gain_bare` at ``w``; arguments broadcast. Raises
     NonPhysical where the denominator or its scale overflows, and
     PoleAtFrequency at the first pole; stability is the caller's check."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    def kernel():
         am, bm, bp, lower, upper, den = _bare_kernel(kappa_a, kappa_b, J, g,
                                                      delta_a, delta_b, w)
         scale = np.abs(lower) * np.abs(upper) + g**2 * np.abs(bm) * np.abs(bp)
-    if not (np.isfinite(den).all() and np.isfinite(scale).all()):
-        raise NonPhysical(f"bare gain denominator overflows (J up to {np.max(J):g} rad/s)")
+        return am, bm, bp, upper, den, scale
+
+    # a non-finite am, bm, bp or upper makes den or scale non-finite too
+    am, bm, bp, upper, den, scale = _finite(
+        kernel, lambda _: f"bare gain denominator overflows (J up to {np.max(J):g} rad/s)")
     _require_no_pole(den, scale, w, "bare gain")
     cross = g * J * np.exp(1j * phi_p) * np.sqrt(kappa_ae * kappa_be)
     signal_a = kappa_ae * bm * upper / den - 1.0

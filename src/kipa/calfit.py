@@ -31,12 +31,14 @@ from .constants import hbar, k_B
 from .errors import (
     FitError,
     IllConditioned,
+    KipaError,
     NoPeak,
     NonPhysical,
     NotConverged,
     PoleAtFrequency,
     UnstableFit,
 )
+from .errors import finite_or_nonphysical as _finite
 from .params import ResonatorParams, Trace, hz_to_angular, power_linear
 
 
@@ -272,13 +274,8 @@ def _require_trace(trace: Trace, kind: str, fit: str, what: str) -> None:
 
 def _linear_power(y_db) -> np.ndarray:
     """Linear power of a dB trace; NonPhysical where it overflows."""
-    with np.errstate(over="ignore"):
-        y_lin = power_linear(y_db)
-    if not np.isfinite(y_lin).all():
-        raise NonPhysical(
-            f"a gain of {np.max(y_db):g} dB overflows as a linear power"
-        )
-    return y_lin
+    return _finite(lambda: power_linear(y_db),
+                   lambda _: f"a gain of {np.max(y_db):g} dB overflows as a linear power")
 
 
 def _width_above(f, y, level) -> float:
@@ -333,45 +330,55 @@ def fit_bias_sweep(trace: Trace) -> FitResult:
 
         f(I) = f0 - f0/(2 I*^2) * I^2
 
-    Closed form, no iteration. Uncertainties propagate from the
-    regression covariance.
+    Closed form, no iteration: the least-squares line through the centred
+    x = I^2, which needs no rescaling however large the currents are.
+    Uncertainties propagate from the regression covariance.
     """
     _require_trace(trace, "bias_shift", "fit_bias_sweep", "bias sweep")
-    with np.errstate(over="ignore"):
-        i_sq = trace.x.astype(float) ** 2
-    if not np.isfinite(i_sq).all():
-        raise NonPhysical(
-            f"a bias current of {np.max(np.abs(trace.x)):g} A overflows when squared"
-        )
-    design = np.column_stack([np.ones_like(i_sq), i_sq])
-    if np.linalg.matrix_rank(design) < 2:
-        raise IllConditioned("bias sweep has no current variation")
-    coef, *_ = np.linalg.lstsq(design, trace.y, rcond=None)
-    f0, slope = float(coef[0]), float(coef[1])
+    i_sq = _finite(lambda: trace.x.astype(float) ** 2, lambda _: (
+        f"a bias current of {np.max(np.abs(trace.x)):g} A overflows when squared"))
+    f = trace.y
+    m = len(trace)
+
+    def overflow(_):
+        return (f"bias regression overflows (currents up to {np.max(np.abs(trace.x)):g} A, "
+                f"frequencies up to {np.max(np.abs(f)):g} Hz)")
+
+    def regression():
+        # the mean of f about f[0]: its rounding error scales with the shift
+        # in frequency, not with f0
+        x_mean, f_mean = float(np.mean(i_sq)), float(f[0] + np.mean(f - f[0]))
+        dx = i_sq - x_mean
+        sxx = float(dx @ dx)
+        if sxx == 0.0:
+            raise IllConditioned("bias sweep has no current variation")
+        slope = float(dx @ (f - f_mean)) / sxx
+        return f_mean - slope * x_mean, slope, x_mean, f_mean, sxx
+
+    f0, slope, x_mean, f_mean, sxx = _finite(regression, overflow)
     if f0 <= 0 or slope >= 0:
         raise NonPhysical(
             f"bias regression gives f0={f0:g} Hz, slope={slope:g} Hz/A^2; "
             "expected a downward quadratic shift"
         )
-    i_star = math.sqrt(-f0 / (2.0 * slope))
-    fitted = design @ coef
-    resid = trace.y - fitted
-    m = len(trace)
-    sigma = {"f0_hz": 0.0, "i_star_a": 0.0}
-    if m > 2:
-        s2 = float(resid @ resid) / (m - 2)
-        cov = np.linalg.inv(design.T @ design) * s2
-        # I* = sqrt(-f0/(2 s)): propagate through the gradient
-        grad = np.array([-1.0 / (4.0 * slope * i_star), f0 / (4.0 * slope**2 * i_star)])
-        var = float(grad @ cov @ grad)
-        sigma = {
-            "f0_hz": float(math.sqrt(max(cov[0, 0], 0.0))),
-            "i_star_a": float(math.sqrt(max(var, 0.0))),
-        }
+
+    def spread():
+        resid = f - (f0 + slope * i_sq)
+        ssr = float(resid @ resid)
+        s2 = ssr / (m - 2)
+        i_star = math.sqrt(-f0 / (2.0 * slope))
+        # var f0 = s2 (1/m + x_mean^2/sxx) and var slope = s2/sxx; through
+        # dI*/df0 = I*/(2 f0) and dI*/dslope = -I*/(2 slope), and as
+        # f0 + slope x_mean = f_mean, var I* = (I*/(2 f0))^2 s2 (1/m + (f_mean/slope)^2/sxx)
+        sigma_f0 = math.sqrt(s2 * (1.0 / m + x_mean**2 / sxx))
+        sigma_i = i_star / (2.0 * f0) * math.sqrt(s2 * (1.0 / m + (f_mean / slope) ** 2 / sxx))
+        return i_star, sigma_f0, sigma_i, math.sqrt(ssr / m)
+
+    i_star, sigma_f0, sigma_i, rms = _finite(spread, overflow)
     return FitResult(
         params={"f0_hz": f0, "i_star_a": i_star},
-        sigma=sigma,
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
+        sigma={"f0_hz": sigma_f0, "i_star_a": sigma_i},
+        residual_rms=rms,
         iterations=0,
     )
 
@@ -402,10 +409,7 @@ def _gain_profile_starts(f, y_db, kappa_hint):
     if deviation.max() < 1e-6:  # featureless trace: let the optimizer decide
         return [default]
     unit = span / 4.0
-    try:
-        unit_sq = unit**2
-    except OverflowError:
-        raise NonPhysical(f"a frequency span of {span:g} Hz overflows when squared") from None
+    unit_sq = _finite(lambda: unit**2, f"a frequency span of {span:g} Hz overflows when squared")
     starts = []
 
     # linewidth backbone from the half-maximum width of the feature: the
@@ -476,9 +480,10 @@ def fit_gain_profile(trace: Trace, kappa_hint: float | None = None) -> FitResult
     Residuals are taken in the dB domain, matching how profiles are
     plotted and weighting the peak region correctly. The deterministic
     starting candidates of :func:`_gain_profile_starts` are ranked by
-    their residual and the few best are each refined; the lowest final
-    residual wins (a weak noisy dip has competing local minima that the
-    starting residual alone cannot rank). kappa_hint [Hz] overrides the
+    their residual and the few best with a finite one are each refined;
+    the lowest final residual wins (a weak noisy dip has competing local
+    minima that the starting residual alone cannot rank). With no such
+    start, the error at the best-ranked one is raised. kappa_hint [Hz] overrides the
     seeded linewidths. The profile is even in the pump rate, so g is
     reported as a magnitude.
 
@@ -505,9 +510,19 @@ def fit_gain_profile(trace: Trace, kappa_hint: float | None = None) -> FitResult
 
     # a weak noisy profile has competing local minima (true working point,
     # g ~ 0 dip, flat response); initial residuals cannot always rank the
-    # basins, so the few best analytic candidates are each refined and the
+    # basins, so the few best feasible candidates are each refined and the
     # lowest final residual wins
-    candidates = sorted(_gain_profile_starts(f, y_db, kappa_hint), key=start_cost)
+    starts = _gain_profile_starts(f, y_db, kappa_hint)
+    costs = [start_cost(start) for start in starts]
+    order = sorted(range(len(starts)), key=costs.__getitem__)
+    candidates = [starts[i] for i in order if math.isfinite(costs[i])]
+    if not candidates:  # what rules out the best-ranked start is the error
+        try:
+            r = residuals(np.array(starts[order[0]]))
+        except ValueError as exc:  # the model's refusal, or the kipa error behind it
+            raise exc.__cause__ if isinstance(exc.__cause__, KipaError) else exc
+        _finite(lambda: r @ r, f"gain fit has no finite residual at any start "
+                               f"(gain down to {np.min(y_db):g} dB)")
     names = ("g_hz", "kappa_e_hz", "kappa_i_hz", "f_center_hz")
     best = None
     first_error = None
@@ -568,14 +583,12 @@ def fit_noise_temperature(trace: Trace, omega: float) -> FitResult:
     def residuals(p):
         return _noise_model(T, p[0], p[1], omega) - y
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        start = residuals(p0)
-        start_finite = np.isfinite(start @ start)
-    if not start_finite:
-        raise NonPhysical(
-            f"noise fit overflows at its start (noise density up to "
-            f"{np.max(np.abs(y)):g} W/Hz at omega={omega:g} rad/s)"
-        )
+    def start_cost():
+        r = residuals(p0)
+        return r @ r
+
+    _finite(start_cost, lambda _: f"noise fit overflows at its start (noise density up to "
+                                  f"{np.max(np.abs(y)):g} W/Hz at omega={omega:g} rad/s)")
     names = ("g_tot", "n_add")
     p, iterations, r = damped_least_squares(residuals, p0, scale=scale)
     result = _result(residuals, p, iterations, r, scale, names)

@@ -12,7 +12,6 @@ other kipa error, float overflow, division by zero), 1 internal error.
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import os
 import sys
@@ -28,8 +27,6 @@ from .params import (
     hz_to_angular,
     power_db,
 )
-
-log = logging.getLogger("kipa")
 
 
 def emit_plot_data(x, gain_db, path, x_column: str = "freq_hz") -> None:
@@ -433,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+_LOG_LEVELS = ("quiet", "info", "debug")
 
 
 def main(argv=None) -> int:
@@ -441,15 +438,14 @@ def main(argv=None) -> int:
     if level_name not in _LOG_LEVELS:
         print(f"kipa: KIPA_LOG must be one of {sorted(_LOG_LEVELS)}", file=sys.stderr)
         return 2
-    logging.basicConfig(level=_LOG_LEVELS[level_name], stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     args._command = args.command
     try:
         if getattr(args, "config", None) is not None:
             args._config = datio.load_config(args.config)
-        log.info("running %s", args.command)
+        if level_name != "quiet":  # the one line logged, at info and debug alike
+            print(f"INFO kipa: running {args.command}", file=sys.stderr)
         return args.func(args)
     except (ParseError, SchemaMismatch, UnitError, ValueError, OSError) as exc:
         print(f"kipa: {exc}", file=sys.stderr)  # bad input, unreadable path included

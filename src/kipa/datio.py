@@ -176,6 +176,7 @@ _RESONATOR_KEYS = ("f0_hz", "kappa_e_hz", "kappa_i_hz")
 _FILM_REQUIRED = ("l0_h", "i_star_a")
 _FILM_OPTIONAL = ("l_sheet_h_per_sq",)
 _PUMP_REQUIRED = ("f_p_hz", "phi_p_rad", "i_dc_a", "drive")
+_DRIVE_KEYS = ("g_hz", "p_p_w", "z_ref_ohm", "cal")
 _TOP_REQUIRED = ("film", "ring", "auxiliary", "j_hz", "pump")
 _TOP_OPTIONAL = ("conventions",)
 
@@ -188,9 +189,15 @@ _KNOWN_STEMS = {
 }
 
 
-def _reject_unknown(obj: dict, allowed, context: str) -> None:
+def _section(obj, context: str, required=(), optional=()) -> dict:
+    """``obj`` as a config section: a JSON object with no key outside
+    ``required`` and ``optional`` and every key of ``required``, checked
+    in that order. A Kerr key, a known key without its unit suffix and
+    any other unknown key each have their own error."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{context}: must be an object")
     for key in obj:
-        if key in allowed:
+        if key in required or key in optional:
             continue
         if "kerr" in key.lower():
             raise SchemaMismatch(
@@ -203,12 +210,10 @@ def _reject_unknown(obj: dict, allowed, context: str) -> None:
                 f"use {_KNOWN_STEMS[key]!r}"
             )
         raise SchemaMismatch(f"{context}: unknown field {key!r}")
-
-
-def _require(obj: dict, keys, context: str) -> None:
-    for key in keys:
+    for key in required:
         if key not in obj:
             raise ParseError(f"{context}: missing required field {key!r}")
+    return obj
 
 
 def _number(obj: dict, key: str, context: str) -> float:
@@ -224,11 +229,8 @@ def _number(obj: dict, key: str, context: str) -> float:
     return value
 
 
-def _resonator(obj: dict, context: str) -> ResonatorParams:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{context}: must be an object")
-    _reject_unknown(obj, _RESONATOR_KEYS, context)
-    _require(obj, _RESONATOR_KEYS, context)
+def _resonator(obj, context: str) -> ResonatorParams:
+    _section(obj, context, _RESONATOR_KEYS)
     return ResonatorParams(
         omega0=hz_to_angular(_number(obj, "f0_hz", context)),
         kappa_e=hz_to_angular(_number(obj, "kappa_e_hz", context)),
@@ -245,14 +247,9 @@ def load_config(path) -> DeviceConfig:
             raise ParseError(exc.msg, line=exc.lineno) from exc
     if not isinstance(doc, dict):
         raise ParseError("config must be a JSON object")
-    _reject_unknown(doc, _TOP_REQUIRED + _TOP_OPTIONAL, "config")
-    _require(doc, _TOP_REQUIRED, "config")
+    _section(doc, "config", _TOP_REQUIRED, _TOP_OPTIONAL)
 
-    film_obj = doc["film"]
-    if not isinstance(film_obj, dict):
-        raise ParseError("config.film: must be an object")
-    _reject_unknown(film_obj, _FILM_REQUIRED + _FILM_OPTIONAL, "config.film")
-    _require(film_obj, _FILM_REQUIRED, "config.film")
+    film_obj = _section(doc["film"], "config.film", _FILM_REQUIRED, _FILM_OPTIONAL)
     film = KineticFilm(
         L0=_number(film_obj, "l0_h", "config.film"),
         I_star=_number(film_obj, "i_star_a", "config.film"),
@@ -265,51 +262,38 @@ def load_config(path) -> DeviceConfig:
     ring = _resonator(doc["ring"], "config.ring")
     auxiliary = _resonator(doc["auxiliary"], "config.auxiliary")
 
-    pump_obj = doc["pump"]
-    if not isinstance(pump_obj, dict):
-        raise ParseError("config.pump: must be an object")
-    _reject_unknown(pump_obj, _PUMP_REQUIRED, "config.pump")
-    _require(pump_obj, _PUMP_REQUIRED, "config.pump")
-    drive = pump_obj["drive"]
-    if not isinstance(drive, dict):
-        raise ParseError("config.pump.drive: must be an object")
-    if set(drive) == {"g_hz"}:
-        pump = PumpConfig(
-            omega_p=hz_to_angular(_number(pump_obj, "f_p_hz", "config.pump")),
-            phi_p=_number(pump_obj, "phi_p_rad", "config.pump"),
-            I_dc=_number(pump_obj, "i_dc_a", "config.pump"),
-            g=hz_to_angular(_number(drive, "g_hz", "config.pump.drive")),
-        )
-    elif set(drive) == {"p_p_w", "z_ref_ohm", "cal"}:
-        pump = PumpConfig(
-            omega_p=hz_to_angular(_number(pump_obj, "f_p_hz", "config.pump")),
-            phi_p=_number(pump_obj, "phi_p_rad", "config.pump"),
-            I_dc=_number(pump_obj, "i_dc_a", "config.pump"),
-            P_p=_number(drive, "p_p_w", "config.pump.drive"),
-            Z_ref=_number(drive, "z_ref_ohm", "config.pump.drive"),
-            cal=_number(drive, "cal", "config.pump.drive"),
-        )
-    else:
-        _reject_unknown(drive, ("g_hz", "p_p_w", "z_ref_ohm", "cal"),
-                        "config.pump.drive")
+    pump_obj = _section(doc["pump"], "config.pump", _PUMP_REQUIRED)
+    # both drive sets hold only these keys: rejecting others first changes no error
+    drive = _section(pump_obj["drive"], "config.pump.drive", optional=_DRIVE_KEYS)
+    if set(drive) not in ({"g_hz"}, {"p_p_w", "z_ref_ohm", "cal"}):
         raise ParseError(
             "config.pump.drive: must be {g_hz} or {p_p_w, z_ref_ohm, cal}, "
             f"got {sorted(drive)}"
         )
+    working_point = dict(
+        omega_p=hz_to_angular(_number(pump_obj, "f_p_hz", "config.pump")),
+        phi_p=_number(pump_obj, "phi_p_rad", "config.pump"),
+        I_dc=_number(pump_obj, "i_dc_a", "config.pump"),
+    )
+    if "g_hz" in drive:
+        pump = PumpConfig(**working_point,
+                          g=hz_to_angular(_number(drive, "g_hz", "config.pump.drive")))
+    else:
+        pump = PumpConfig(
+            **working_point,
+            P_p=_number(drive, "p_p_w", "config.pump.drive"),
+            Z_ref=_number(drive, "z_ref_ohm", "config.pump.drive"),
+            cal=_number(drive, "cal", "config.pump.drive"),
+        )
 
-    form = "as_printed"
-    if "conventions" in doc:
-        conv = doc["conventions"]
-        if not isinstance(conv, dict):
-            raise ParseError("config.conventions: must be an object")
-        _reject_unknown(conv, ("hybridization_form",), "config.conventions")
-        if "hybridization_form" in conv:
-            form = conv["hybridization_form"]
-            if form not in HYBRIDIZATION_FORMS:
-                raise ParseError(
-                    f"config.conventions.hybridization_form: must be one of "
-                    f"{HYBRIDIZATION_FORMS}, got {form!r}"
-                )
+    conv = _section(doc.get("conventions", {}), "config.conventions",
+                    optional=("hybridization_form",))
+    form = conv.get("hybridization_form", "as_printed")
+    if form not in HYBRIDIZATION_FORMS:
+        raise ParseError(
+            f"config.conventions.hybridization_form: must be one of "
+            f"{HYBRIDIZATION_FORMS}, got {form!r}"
+        )
 
     return DeviceConfig(
         film=film,

@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package."""
 
+import numpy as np
+
 
 class KipaError(Exception):
     """Base class for all package-specific errors."""
@@ -31,6 +33,26 @@ class NotSettled(KipaError):
 
 class NonPhysical(KipaError):
     """Result violates a physical bound (negative noise quanta, etc.)."""
+
+
+def finite_or_nonphysical(compute, message):
+    """Return ``compute()``, a number, an array or a tuple of them, when
+    all of it is finite; otherwise raise NonPhysical(message).
+
+    The computation runs with numpy's floating-point warnings off. An
+    OverflowError or ZeroDivisionError from it, as Python float ``**`` and
+    ``/`` raise, counts as not finite. A callable ``message`` builds the
+    text from the result, or from None after such an exception."""
+    try:
+        with np.errstate(all="ignore"):
+            value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = None
+    else:
+        parts = value if isinstance(value, tuple) else (value,)
+        if all(np.isfinite(part).all() for part in parts):
+            return value
+    raise NonPhysical(message(value) if callable(message) else message)
 
 
 class NoPeak(KipaError):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import hbar, k_B
-from .errors import NonPhysical
+from .errors import NonPhysical, finite_or_nonphysical as _finite
 from .params import NoiseChain
 
 
@@ -31,14 +31,9 @@ def thermal_occupancy(omega: float, T: float) -> float:
     x = hbar * omega / (k_B * T)
     if x > 700.0:  # exp would overflow; occupancy is zero to double precision
         return 0.0
-    if x > 0.0:
-        n = 1.0 / math.expm1(x)
-        if n < math.inf:
-            return n
     # x underflows to 0 (or 1/x overflows): n ~ kT/(hbar w) is beyond a double
-    raise NonPhysical(
-        f"thermal occupancy overflows at T={T:g} K, omega={omega:g} rad/s"
-    )
+    return _finite(lambda: 1.0 / math.expm1(x),
+                   f"thermal occupancy overflows at T={T:g} K, omega={omega:g} rad/s")
 
 
 def stage_noise(eta: float, T_dev: float, omega: float) -> float:

@@ -390,6 +390,31 @@ class TestFitBiasSweep:
         refit = fit_bias_sweep(shuffled)
         assert refit.params == base.params
 
+    def test_large_currents_recover_f0_and_i_star(self):
+        # the unscaled design [1, I^2] of these currents has numerical rank 1
+        fit = fit_bias_sweep(bias_trace(7.0e9, 3e8, [0.0, 1e8, 2e8]))
+        assert fit.params["f0_hz"] == pytest.approx(7.0e9, rel=1e-9)
+        assert fit.params["i_star_a"] == pytest.approx(3e8, rel=1e-9)
+
+    def test_matches_design_matrix_regression(self):
+        currents = np.linspace(0.1e-3, 3.0e-3, 31)
+        trace = bias_trace(7.4e9, 5.86e-3, currents, noise=2e5,
+                           rng=np.random.default_rng(3))
+        fit = fit_bias_sweep(trace)
+        # the regression on the design [1, I^2], its covariance, and I*'s
+        # variance through the gradient of sqrt(-f0/(2 slope))
+        design = np.column_stack([np.ones(31), currents**2])
+        (f0, slope), *_ = np.linalg.lstsq(design, trace.y, rcond=None)
+        resid = trace.y - design @ [f0, slope]
+        cov = np.linalg.inv(design.T @ design) * (resid @ resid) / 29
+        i_star = math.sqrt(-f0 / (2 * slope))
+        grad = np.array([-1 / (4 * slope * i_star), f0 / (4 * slope**2 * i_star)])
+        assert fit.params["f0_hz"] == pytest.approx(f0, rel=1e-12)
+        assert fit.params["i_star_a"] == pytest.approx(i_star, rel=1e-9)
+        assert fit.sigma["f0_hz"] == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-6)
+        assert fit.sigma["i_star_a"] == pytest.approx(math.sqrt(grad @ cov @ grad), rel=1e-6)
+        assert fit.residual_rms == pytest.approx(math.sqrt(np.mean(resid**2)), rel=1e-6)
+
 
 class TestFitGainProfile:
     def test_forty_three_db_round_trip(self):
@@ -490,6 +515,25 @@ class TestFitGainProfile:
         with pytest.raises(KeyError):
             calfit._gain_model_db([7.0e9], 10e6, 25e6, 5e6, 7.0e9)
         with pytest.raises(KeyError):
+            fit_gain_profile(trace)
+
+    def test_infeasible_start_is_never_refined(self, monkeypatch):
+        from kipa import calfit
+
+        trace = gain_trace(7.0e9, 10e6, 25e6, 5e6)
+        starts = calfit._gain_profile_starts
+
+        def two_starts(*args):
+            return starts(*args)[:2]
+
+        monkeypatch.setattr(calfit, "_gain_profile_starts", two_starts)
+        expected = fit_gain_profile(trace)
+        above_threshold = (20e6, 25e6, 5e6, 7.0e9)  # g > kappa/2
+        monkeypatch.setattr(calfit, "_gain_profile_starts",
+                            lambda *args: two_starts(*args) + [above_threshold])
+        assert fit_gain_profile(trace) == expected
+        monkeypatch.setattr(calfit, "_gain_profile_starts", lambda *args: [above_threshold])
+        with pytest.raises(ValueError, match="threshold"):
             fit_gain_profile(trace)
 
 

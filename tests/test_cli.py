@@ -4,6 +4,8 @@ determinism of the seeded equivalence check."""
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -597,6 +599,36 @@ class TestFitCommands:
         outputs = json.loads(out)["outputs"]
         assert outputs["gbp_hz"]["value"] == pytest.approx(28e6, rel=0.05)
 
+    def test_fit_bias_on_huge_frequencies_prints_no_warning(self, tmp_path):
+        currents = np.linspace(0.1e-3, 3e-3, 21)
+        path = tmp_path / "bias.csv"
+        save_trace(Trace(x=currents, y=1e200 * (1 - 0.5 * (currents / 5.86e-3) ** 2),
+                         kind="bias_shift"), path)
+        result = run_process(["fit-bias", str(path)])
+        assert (result.returncode, result.stdout) == (3, "")
+        assert "Warning" not in result.stderr
+        assert result.stderr == ("kipa: bias regression overflows (currents up to 0.003 A, "
+                                 "frequencies up to 9.99854e+199 Hz)\n")
+
+    def test_fit_gain_with_no_feasible_start_is_numeric_error(self, capsys, tmp_path):
+        # every start's offsets from a center near 1e155 Hz overflow when squared
+        f = 1e155 + np.linspace(-5e153, 5e153, 101)
+        path = tmp_path / "far.csv"
+        save_trace(Trace(x=f, y=20.0 * np.exp(-((f - 1e155) / 1e153) ** 2),
+                         kind="gain_db"), path)
+        code, out, err = run_cli(capsys, ["fit-gain", str(path)])
+        assert (code, out) == (3, "")
+        assert err == "kipa: gain denominator overflows (omega up to 3.14159e+154 rad/s)\n"
+
+    def test_fit_gain_with_no_finite_start_cost_is_numeric_error(self, tmp_path):
+        path = tmp_path / "deep.csv"
+        save_trace(Trace(x=7e9 + 1e6 * np.arange(101), y=np.full(101, -1e160),
+                         kind="gain_db"), path)
+        result = run_process(["fit-gain", str(path)])
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.endswith("kipa: gain fit has no finite residual at any start "
+                                      "(gain down to -1e+160 dB)\n")
+
 
 class TestOracleCheckCommand:
     def test_passes_and_is_byte_identical(self, capsys):
@@ -653,3 +685,70 @@ class TestLogging:
         code, out, _ = run_cli(capsys, ["oracle-check", "--draws", "5",
                                         "--seed", "1"])
         assert code == 0
+
+    @pytest.mark.parametrize("level, line", [
+        ("quiet", ""), ("info", "INFO kipa: running stability\n"),
+        ("debug", "INFO kipa: running stability\n"),
+    ])
+    def test_running_line_on_stderr(self, capsys, monkeypatch, config_path, level, line):
+        monkeypatch.setenv("KIPA_LOG", level)
+        code, _, err = run_cli(capsys, ["stability", "--config", config_path])
+        assert (code, err) == (0, line)
+
+    def test_no_module_imports_logging(self):
+        for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
+            source = path.read_text(encoding="utf-8")
+            assert not re.search(r"^\s*(import|from)\s+logging\b", source, re.M), path.name
+
+
+@pytest.fixture(scope="module")
+def smoke_files(tmp_path_factory):
+    """A directory holding a gain, a reflection, a bias and a noise trace of
+    a 7 GHz mode, and DEVICE as dev.json."""
+    from kipa import ResonatorParams, hz_to_angular, single_mode_gain
+    from kipa.constants import hbar, k_B
+
+    out = tmp_path_factory.mktemp("smoke")
+    f = 7.0e9 + np.linspace(-1.5e8, 1.5e8, 2001)
+    res = ResonatorParams(omega0=hz_to_angular(7.0e9), kappa_e=hz_to_angular(28e6),
+                          kappa_i=hz_to_angular(4e6))
+    w = hz_to_angular(f - 7.0e9)
+    gain, _ = single_mode_gain(res, 0.9 * res.kappa / 2, 0.0, 0.0, w)
+    refl, _ = single_mode_gain(res, 0.0, 0.0, 0.0, w)
+    i_dc = np.linspace(0.0, 3e-3, 31)
+    save_trace(Trace(x=f, y=gain.power_db, kind="gain_db"), out / "gain.csv")
+    save_trace(Trace(x=f, y=refl.values, kind="reflection"), out / "refl.csv")
+    save_trace(Trace(x=i_dc, y=7.0e9 * (1 - 0.5 * (i_dc / 5.86e-3) ** 2),
+                     kind="bias_shift"), out / "bias.csv")
+    t_k = np.linspace(0.02, 0.4, 20)
+    quantum = hbar * res.omega0
+    psd = 1e3 * quantum * (0.5 / np.tanh(quantum / (2 * k_B * t_k)) + 0.6)
+    save_trace(Trace(x=t_k, y=psd, kind="noise_psd"), out / "noise.csv")
+    (out / "dev.json").write_text(json.dumps(DEVICE), encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("argv", [
+    "oracle-check --draws 1000 --seed 7",
+    # uint64 array arithmetic wraps without a warning, a scalar overflow warns
+    "oracle-check --draws 1 --seed 18446744073709551615",
+    "fit-gain {d}/gain.csv",
+    "fit-resonance {d}/refl.csv",
+    "fit-bias {d}/bias.csv",
+    "fit-noise {d}/noise.csv --f-hz 7.0e9",
+    "gbp {d}/gain.csv",
+    "gain --config {d}/dev.json",
+    "double-gain --config {d}/dev.json",
+    "regime-map --config {d}/dev.json",
+    "phase --config {d}/dev.json",
+    "stability --config {d}/dev.json",
+    "noise --f-hz 7.155e9 --eta 0.9 --g-k 1000 --g-h 1e6 --n-h 10 --t-k 0.1 --t-dev-k 0.1",
+])
+def test_subcommand_raises_no_numpy_warning(monkeypatch, smoke_files, argv):
+    """Every subcommand in a child process under -W error::RuntimeWarning
+    (set through PYTHONWARNINGS): pytest's filter covers in-process calls
+    only."""
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+    result = run_process(argv.format(d=smoke_files).split())
+    assert (result.returncode, result.stderr) == (0, "")
+    json.loads(result.stdout)

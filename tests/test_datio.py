@@ -24,7 +24,7 @@ from kipa import (
 )
 from kipa import datio
 from kipa.datio import TRACE_COLUMNS, inputs_digest, record_to_json
-from kipa.params import GridOrderError
+from kipa.params import GridOrderError, KineticFilm, PumpConfig, ResonatorParams, hz_to_angular
 
 GOOD_CONFIG = {
     "film": {"l0_h": 2.51e-7, "i_star_a": 5.86e-3, "l_sheet_h_per_sq": 3.0e-11},
@@ -147,6 +147,208 @@ def trace_files(draw):
     header = [f"# kind={kind}", ",".join(TRACE_COLUMNS[kind])]
     end = draw(mostly(st.just("\n"), "\r\n"))
     return kind, end.join(header + lines) + draw(mostly(st.just(end), ""))
+
+
+
+def _reference_reject_unknown(obj, allowed, context):
+    for key in obj:
+        if key in allowed:
+            continue
+        if "kerr" in key.lower():
+            raise SchemaMismatch(
+                f"{context}: field {key!r} is rejected; four-wave-mixing "
+                "(Kerr) terms are out of scope for this model"
+            )
+        if key in datio._KNOWN_STEMS:
+            raise UnitError(
+                f"{context}: field {key!r} is missing its unit suffix; "
+                f"use {datio._KNOWN_STEMS[key]!r}"
+            )
+        raise SchemaMismatch(f"{context}: unknown field {key!r}")
+
+
+def _reference_require(obj, keys, context):
+    for key in keys:
+        if key not in obj:
+            raise ParseError(f"{context}: missing required field {key!r}")
+
+
+def _reference_resonator(obj, context):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{context}: must be an object")
+    _reference_reject_unknown(obj, datio._RESONATOR_KEYS, context)
+    _reference_require(obj, datio._RESONATOR_KEYS, context)
+    return ResonatorParams(
+        omega0=hz_to_angular(datio._number(obj, "f0_hz", context)),
+        kappa_e=hz_to_angular(datio._number(obj, "kappa_e_hz", context)),
+        kappa_i=hz_to_angular(datio._number(obj, "kappa_i_hz", context)),
+    )
+
+
+def reference_load_config(path):
+    """load_config as it checked each section by hand."""
+    number = datio._number
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.msg, line=exc.lineno) from exc
+    if not isinstance(doc, dict):
+        raise ParseError("config must be a JSON object")
+    _reference_reject_unknown(doc, datio._TOP_REQUIRED + datio._TOP_OPTIONAL, "config")
+    _reference_require(doc, datio._TOP_REQUIRED, "config")
+
+    film_obj = doc["film"]
+    if not isinstance(film_obj, dict):
+        raise ParseError("config.film: must be an object")
+    _reference_reject_unknown(film_obj, datio._FILM_REQUIRED + datio._FILM_OPTIONAL,
+                              "config.film")
+    _reference_require(film_obj, datio._FILM_REQUIRED, "config.film")
+    film = KineticFilm(
+        L0=number(film_obj, "l0_h", "config.film"),
+        I_star=number(film_obj, "i_star_a", "config.film"),
+        L_sheet=(
+            number(film_obj, "l_sheet_h_per_sq", "config.film")
+            if "l_sheet_h_per_sq" in film_obj else None
+        ),
+    )
+
+    ring = _reference_resonator(doc["ring"], "config.ring")
+    auxiliary = _reference_resonator(doc["auxiliary"], "config.auxiliary")
+
+    pump_obj = doc["pump"]
+    if not isinstance(pump_obj, dict):
+        raise ParseError("config.pump: must be an object")
+    _reference_reject_unknown(pump_obj, datio._PUMP_REQUIRED, "config.pump")
+    _reference_require(pump_obj, datio._PUMP_REQUIRED, "config.pump")
+    drive = pump_obj["drive"]
+    if not isinstance(drive, dict):
+        raise ParseError("config.pump.drive: must be an object")
+    if set(drive) == {"g_hz"}:
+        pump = PumpConfig(
+            omega_p=hz_to_angular(number(pump_obj, "f_p_hz", "config.pump")),
+            phi_p=number(pump_obj, "phi_p_rad", "config.pump"),
+            I_dc=number(pump_obj, "i_dc_a", "config.pump"),
+            g=hz_to_angular(number(drive, "g_hz", "config.pump.drive")),
+        )
+    elif set(drive) == {"p_p_w", "z_ref_ohm", "cal"}:
+        pump = PumpConfig(
+            omega_p=hz_to_angular(number(pump_obj, "f_p_hz", "config.pump")),
+            phi_p=number(pump_obj, "phi_p_rad", "config.pump"),
+            I_dc=number(pump_obj, "i_dc_a", "config.pump"),
+            P_p=number(drive, "p_p_w", "config.pump.drive"),
+            Z_ref=number(drive, "z_ref_ohm", "config.pump.drive"),
+            cal=number(drive, "cal", "config.pump.drive"),
+        )
+    else:
+        _reference_reject_unknown(drive, ("g_hz", "p_p_w", "z_ref_ohm", "cal"),
+                                  "config.pump.drive")
+        raise ParseError(
+            "config.pump.drive: must be {g_hz} or {p_p_w, z_ref_ohm, cal}, "
+            f"got {sorted(drive)}"
+        )
+
+    form = "as_printed"
+    if "conventions" in doc:
+        conv = doc["conventions"]
+        if not isinstance(conv, dict):
+            raise ParseError("config.conventions: must be an object")
+        _reference_reject_unknown(conv, ("hybridization_form",), "config.conventions")
+        if "hybridization_form" in conv:
+            form = conv["hybridization_form"]
+            if form not in datio.HYBRIDIZATION_FORMS:
+                raise ParseError(
+                    f"config.conventions.hybridization_form: must be one of "
+                    f"{datio.HYBRIDIZATION_FORMS}, got {form!r}"
+                )
+
+    return datio.DeviceConfig(
+        film=film,
+        ring=ring,
+        auxiliary=auxiliary,
+        J=hz_to_angular(number(doc, "j_hz", "config")),
+        pump=pump,
+        hybridization_form=form,
+    )
+
+
+# config sections by path, and the numeric fields of each
+_SECTIONS = {
+    (): ("j_hz",),
+    ("film",): ("l0_h", "i_star_a", "l_sheet_h_per_sq"),
+    ("ring",): ("f0_hz", "kappa_e_hz", "kappa_i_hz"),
+    ("auxiliary",): ("f0_hz", "kappa_e_hz", "kappa_i_hz"),
+    ("pump",): ("f_p_hz", "phi_p_rad", "i_dc_a"),
+    ("pump", "drive"): ("g_hz", "p_p_w", "z_ref_ohm", "cal"),
+    ("conventions",): (),
+}
+_NOT_OBJECTS = (None, 1.0, "film", [], [1.0])
+_BAD_NUMBERS = (math.nan, math.inf, -math.inf, "nan", "x", None, [], {}, -1.0, 0.0, 1e308)
+_BAD_DRIVES = ({}, {"g_hz": 5e6, "p_p_w": 1e-6}, {"p_p_w": 1e-6, "cal": 1.0},
+               {"g_hz": 5e6, "cal": 1.0}, {"g": 5e6}, {"g_hz": 5e6, "kerr_k": 1.0})
+_BAD_FORMS = ("approximate", None, 3, ["standard"], "Standard")
+
+
+@st.composite
+def faulty_configs(draw):
+    """A good config, with either drive, given one or two faults: a section
+    of the wrong type, an unknown, Kerr or unsuffixed key, a missing key, a
+    non-finite, non-numeric or out-of-range number, a bad drive set or a bad
+    hybridization form."""
+    doc = json.loads(json.dumps(GOOD_CONFIG))
+    if draw(st.booleans()):
+        doc["pump"]["drive"] = {"g_hz": 5.0e6}
+    if draw(st.booleans()):
+        del doc["conventions"]
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(sorted(_SECTIONS)))
+        parent, section = None, doc
+        for key in path:
+            parent, section = section, section.get(key) if isinstance(section, dict) else None
+        if not isinstance(section, dict):
+            continue
+        fault = draw(st.sampled_from(["type", "unknown", "missing", "suffix", "kerr",
+                                      "number", "drive", "form"]))
+        keys = sorted(section)
+        if fault == "type" and path:
+            parent[path[-1]] = draw(st.sampled_from(_NOT_OBJECTS))
+        elif fault == "type":
+            return draw(st.sampled_from(_NOT_OBJECTS))
+        elif fault == "unknown":
+            section[draw(st.sampled_from(["quality", "f0", "J_hz", "drive"]))] = 1.0
+        elif fault == "missing" and keys:
+            del section[draw(st.sampled_from(keys))]
+        elif fault == "suffix" and keys:
+            key = draw(st.sampled_from(keys))
+            stem = next((s for s, full in datio._KNOWN_STEMS.items() if full == key), key)
+            section[stem] = section.pop(key)
+        elif fault == "kerr":
+            section[draw(st.sampled_from(["kerr_K", "Kerr", "self_kerr_hz"]))] = 1e-3
+        elif fault == "number" and _SECTIONS[path]:
+            section[draw(st.sampled_from(_SECTIONS[path]))] = draw(st.sampled_from(_BAD_NUMBERS))
+        elif fault == "drive" and isinstance(doc.get("pump"), dict):
+            doc["pump"]["drive"] = dict(draw(st.sampled_from(_BAD_DRIVES)))
+        elif fault == "form":
+            conventions = doc.setdefault("conventions", {})
+            if isinstance(conventions, dict):
+                conventions["hybridization_form"] = draw(st.sampled_from(_BAD_FORMS))
+    return doc
+
+
+def pump_faults(f_p_hz, drive):
+    """The good config with a bad pump frequency and drive: which of the two
+    errors wins pins the order of the pump's checks."""
+    doc = json.loads(json.dumps(GOOD_CONFIG))
+    doc["pump"].update(f_p_hz=f_p_hz, drive=drive)
+    return doc
+
+
+def config_outcome(load, path):
+    """The loaded config's repr, or the exception's type and message."""
+    try:
+        return repr(load(path))
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestTraceIO:
@@ -440,6 +642,16 @@ class TestConfig:
         doc["pump"]["drive"] = {"g_hz": 5e6, "p_p_w": 1e-6}
         with pytest.raises((ParseError, SchemaMismatch, UnitError)):
             load_config(write_config(tmp_path, doc))
+
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(doc=faulty_configs())
+    @example(doc=pump_faults("x", {}))
+    @example(doc=pump_faults(math.nan, {"g_hz": "x"}))
+    @example(doc=pump_faults(None, []))
+    def test_faulty_config_matches_reference(self, tmp_path_factory, doc):
+        path = write_config(tmp_path_factory.mktemp("cfg"), doc)
+        assert config_outcome(load_config, path) == config_outcome(reference_load_config, path)
 
 
 class TestResultRecords:
