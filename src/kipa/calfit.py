@@ -278,6 +278,16 @@ def _linear_power(y_db) -> np.ndarray:
                    lambda _: f"a gain of {np.max(y_db):g} dB overflows as a linear power")
 
 
+def _require_finite_start(residuals, p0, message) -> None:
+    """NonPhysical(message) unless the squared residuals at the start
+    ``p0`` are finite: checked once, so the LM loop runs unguarded."""
+    def start_cost():
+        r = residuals(p0)
+        return r @ r
+
+    _finite(start_cost, message)
+
+
 def _width_above(f, y, level) -> float:
     """Span of f between the first and last sample with y above level,
     at least one grid step: the half-maximum width that seeds a fit."""
@@ -410,6 +420,11 @@ def _gain_profile_starts(f, y_db, kappa_hint):
         return [default]
     unit = span / 4.0
     unit_sq = _finite(lambda: unit**2, f"a frequency span of {span:g} Hz overflows when squared")
+
+    def overflow(_):
+        return (f"gain fit overflows estimating its starts (gain up to {np.max(y_db):g} dB, "
+                f"frequencies up to {np.max(np.abs(f)):g} Hz)")
+
     starts = []
 
     # linewidth backbone from the half-maximum width of the feature: the
@@ -422,11 +437,13 @@ def _gain_profile_starts(f, y_db, kappa_hint):
         w = (f - center) / unit  # scaled offsets for conditioning
         # multiplying through by the denominator would weight wing noise
         # by w^4; the 1/(1+w^4) row weight rebalances the samples
-        weight = 1.0 / (1.0 + w**4)
-        design = np.column_stack([w**2, np.ones_like(w), -y_lin * w**2, -y_lin])
-        coef, *_ = np.linalg.lstsq(
-            design * weight[:, None], (y_lin - 1.0) * w**4 * weight, rcond=None
-        )
+        def weighted_design():
+            weight = 1.0 / (1.0 + w**4)
+            design = np.column_stack([w**2, np.ones_like(w), -y_lin * w**2, -y_lin])
+            return design * weight[:, None], (y_lin - 1.0) * w**4 * weight
+
+        # an inf or NaN reaching LAPACK makes it print to stderr and raise
+        coef, *_ = np.linalg.lstsq(*_finite(weighted_design, overflow), rcond=None)
         a, b, c, d = (float(v) for v in coef)
         s = math.sqrt(max(d, 0.0))
         kappa_sq = (c + 2.0 * s) * unit_sq
@@ -448,7 +465,7 @@ def _gain_profile_starts(f, y_db, kappa_hint):
         for eta in etas + [0.6, 0.8, 0.95]:
             starts.append((g, eta * kappa, (1.0 - eta) * kappa, center))
 
-    centroid = float(np.sum(f * deviation) / np.sum(deviation))
+    centroid = _finite(lambda: float(np.sum(f * deviation) / np.sum(deviation)), overflow)
     extremum = float(f[int(np.argmax(deviation))])
     for center in (centroid, extremum):
         quartic_inversion(center)
@@ -513,16 +530,24 @@ def fit_gain_profile(trace: Trace, kappa_hint: float | None = None) -> FitResult
     # basins, so the few best feasible candidates are each refined and the
     # lowest final residual wins
     starts = _gain_profile_starts(f, y_db, kappa_hint)
-    costs = [start_cost(start) for start in starts]
-    order = sorted(range(len(starts)), key=costs.__getitem__)
-    candidates = [starts[i] for i in order if math.isfinite(costs[i])]
-    if not candidates:  # what rules out the best-ranked start is the error
+
+    def ranked_starts():
+        """The starts with a finite cost, best first. With none, raises what
+        rules out the best-ranked start, or returns its non-finite cost."""
+        costs = [start_cost(start) for start in starts]
+        order = sorted(range(len(starts)), key=costs.__getitem__)
+        candidates = [starts[i] for i in order if math.isfinite(costs[i])]
+        if candidates:
+            return candidates
         try:
-            r = residuals(np.array(starts[order[0]]))
+            residuals(np.array(starts[order[0]]))
         except ValueError as exc:  # the model's refusal, or the kipa error behind it
             raise exc.__cause__ if isinstance(exc.__cause__, KipaError) else exc
-        _finite(lambda: r @ r, f"gain fit has no finite residual at any start "
-                               f"(gain down to {np.min(y_db):g} dB)")
+        return costs[order[0]]
+
+    # one guard over the whole ranking: a cost that overflows is infinite, not a warning
+    candidates = _finite(ranked_starts, lambda _: f"gain fit has no finite residual at any "
+                                                  f"start (gain down to {np.min(y_db):g} dB)")
     names = ("g_hz", "kappa_e_hz", "kappa_i_hz", "f_center_hz")
     best = None
     first_error = None
@@ -583,12 +608,9 @@ def fit_noise_temperature(trace: Trace, omega: float) -> FitResult:
     def residuals(p):
         return _noise_model(T, p[0], p[1], omega) - y
 
-    def start_cost():
-        r = residuals(p0)
-        return r @ r
-
-    _finite(start_cost, lambda _: f"noise fit overflows at its start (noise density up to "
-                                  f"{np.max(np.abs(y)):g} W/Hz at omega={omega:g} rad/s)")
+    _require_finite_start(residuals, p0, lambda _: (
+        f"noise fit overflows at its start (noise density up to "
+        f"{np.max(np.abs(y)):g} W/Hz at omega={omega:g} rad/s)"))
     names = ("g_tot", "n_add")
     p, iterations, r = damped_least_squares(residuals, p0, scale=scale)
     result = _result(residuals, p, iterations, r, scale, names)
@@ -631,6 +653,8 @@ def fit_lorentzian(trace: Trace) -> FitResult:
             raise ValueError("fwhm must stay positive")
         return _lorentzian(f, p[0], p[1], p[2], p[3]) - y_lin
 
+    _require_finite_start(residuals, p0, lambda _: (
+        f"Lorentzian fit overflows at its start (gain up to {np.max(y_db):g} dB)"))
     names = ("peak_lin", "f_peak_hz", "fwhm_hz", "baseline_lin")
     p, iterations, r = damped_least_squares(residuals, p0, scale=scale)
     return _result(residuals, p, iterations, r, scale, names)

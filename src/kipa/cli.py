@@ -18,7 +18,9 @@ import sys
 
 import numpy as np
 
-from . import ampcore, calfit, datio, noise, oracle
+# every command emits through datio; ampcore, calfit, noise and oracle are
+# imported inside the commands that run them, so a call loads only those
+from . import datio
 from .errors import KipaError, ParseError, SchemaMismatch, UnitError
 from .params import (
     CoupledSystem,
@@ -35,8 +37,8 @@ def emit_plot_data(x, gain_db, path, x_column: str = "freq_hz") -> None:
     if x_column not in ("freq_hz", "phase_rad"):
         raise ValueError(f"unknown x column {x_column!r}")
     lines = [f"{x_column},gain_db"]
-    for x_value, gain in zip(x, gain_db):
-        lines.append(f"{float(x_value)!r},{float(gain)!r}")
+    rows = zip(np.asarray(x, dtype=float).tolist(), np.asarray(gain_db, dtype=float).tolist())
+    lines += [f"{x_value!r},{gain!r}" for x_value, gain in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -85,6 +87,8 @@ def _pump_g(args, threshold, omega0: float) -> float:
         return hz_to_angular(args.g_hz)
     if getattr(args, "g_over_threshold", None) is not None:
         return args.g_over_threshold * threshold
+    from . import ampcore
+
     cfg = args._config
     return ampcore.pump_rate(cfg.pump, cfg.film, omega0)
 
@@ -118,6 +122,8 @@ def _print_record(args, outputs) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gain(args) -> int:
+    from . import ampcore
+
     cfg = args._config
     res = cfg.ring
     g = _pump_g(args, ampcore.stability_single(res, 0.0).threshold, res.omega0)
@@ -146,6 +152,8 @@ def cmd_gain(args) -> int:
 
 
 def cmd_phase(args) -> int:
+    from . import ampcore
+
     cfg = args._config
     res = cfg.ring
     g = _pump_g(args, ampcore.stability_single(res, 0.0).threshold, res.omega0)
@@ -167,6 +175,8 @@ def cmd_phase(args) -> int:
 
 
 def cmd_double_gain(args) -> int:
+    from . import ampcore
+
     cfg = args._config
     system = _anticrossing_system(cfg)
     g = _pump_g(args, ampcore.pair_threshold(system), system.mode_a.omega0)
@@ -200,6 +210,8 @@ def cmd_double_gain(args) -> int:
 
 
 def cmd_regime_map(args) -> int:
+    from . import ampcore
+
     cfg = args._config
     system = _anticrossing_system(cfg)
     g = _pump_g(args, ampcore.pair_threshold(system), system.mode_a.omega0)
@@ -230,6 +242,8 @@ def cmd_regime_map(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    from . import ampcore
+
     cfg = args._config
     g = _pump_g(args, None, cfg.ring.omega0)
     single = ampcore.stability_single(cfg.ring, g)
@@ -250,6 +264,8 @@ def cmd_stability(args) -> int:
 
 
 def cmd_noise(args) -> int:
+    from . import noise
+
     chain = NoiseChain(
         G_k=args.g_k, G_h=args.g_h, n_h=args.n_h, eta=args.eta,
         T=args.t_k, T_dev=args.t_dev_k, omega=hz_to_angular(args.f_hz),
@@ -271,26 +287,28 @@ def cmd_noise(args) -> int:
     return 0
 
 
-# fit subcommand -> (trace kind, fit call, units of the fitted parameters;
-# unlisted ones are dimensionless)
+# fit subcommand -> (trace kind, fit call on the calfit module, units of the
+# fitted parameters; unlisted ones are dimensionless)
 _FITS = {
-    "fit-resonance": ("reflection", lambda trace, args: calfit.fit_reflection(trace),
+    "fit-resonance": ("reflection", lambda calfit, trace, args: calfit.fit_reflection(trace),
                       {"f0_hz": "Hz", "kappa_e_hz": "Hz", "kappa_i_hz": "Hz"}),
-    "fit-bias": ("bias_shift", lambda trace, args: calfit.fit_bias_sweep(trace),
+    "fit-bias": ("bias_shift", lambda calfit, trace, args: calfit.fit_bias_sweep(trace),
                  {"f0_hz": "Hz", "i_star_a": "A"}),
-    "fit-gain": ("gain_db", lambda trace, args: calfit.fit_gain_profile(
+    "fit-gain": ("gain_db", lambda calfit, trace, args: calfit.fit_gain_profile(
                      trace, kappa_hint=args.kappa_hint_hz),
                  {"g_hz": "Hz", "kappa_e_hz": "Hz", "kappa_i_hz": "Hz",
                   "f_center_hz": "Hz"}),
-    "fit-noise": ("noise_psd", lambda trace, args: calfit.fit_noise_temperature(
+    "fit-noise": ("noise_psd", lambda calfit, trace, args: calfit.fit_noise_temperature(
                       trace, hz_to_angular(args.f_hz)),
                   {"n_add": "quanta"}),
 }
 
 
 def cmd_fit(args) -> int:
+    from . import calfit
+
     kind, fit_call, units = _FITS[args.command]
-    fit = fit_call(datio.load_trace(args.trace, kind), args)
+    fit = fit_call(calfit, datio.load_trace(args.trace, kind), args)
     outputs = {name: (value, units.get(name, "1")) for name, value in fit.params.items()}
     for name, value in fit.sigma.items():
         outputs["sigma_" + name] = (value, units.get(name, "1"))
@@ -303,6 +321,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_gbp(args) -> int:
+    from . import ampcore
+
     result = ampcore.gain_bandwidth_product(datio.load_trace(args.trace, "gain_db"))
     _print_record(args, {
         "peak_gain_db": (result.peak_gain_db, "dB"),
@@ -313,6 +333,8 @@ def cmd_gbp(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from . import oracle
+
     report = oracle.transfer_equivalence(args.draws, args.seed)
     worst = max(report["max_rel_err_single"], report["max_rel_err_double"])
     passed = bool(worst < args.tolerance)

@@ -141,11 +141,11 @@ def save_trace(trace: Trace, path) -> None:
     """Write a trace CSV in the exact schema read by :func:`load_trace`."""
     columns = TRACE_COLUMNS[trace.kind]
     out = [f"# kind={trace.kind}", ",".join(columns)]
-    for x, y in zip(trace.x, trace.y):
-        if trace.kind == "reflection":
-            out.append(f"{float(x)!r},{float(y.real)!r},{float(y.imag)!r}")
-        else:
-            out.append(f"{float(x)!r},{float(y)!r}")
+    pairs = zip(trace.x.tolist(), trace.y.tolist())  # Python floats: repr round-trips
+    if trace.kind == "reflection":
+        out += [f"{x!r},{y.real!r},{y.imag!r}" for x, y in pairs]
+    else:
+        out += [f"{x!r},{y!r}" for x, y in pairs]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")
 

@@ -55,14 +55,14 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-def run_process(argv):
-    """Run ``python -m kipa`` on ``argv`` in a child process. In-process,
-    pytest turns a numpy RuntimeWarning into an error; a CLI process would
-    print it, with its source line, to stderr."""
+def run_process(argv, launch=("-m", "kipa")):
+    """Run ``python -m kipa`` (or ``python <launch>``) on ``argv`` in a
+    child process. In-process, pytest turns a numpy RuntimeWarning into an
+    error; a CLI process would print it, with its source line, to stderr."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "kipa", *argv], env=env,
+    return subprocess.run([sys.executable, *launch, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
 
 
@@ -71,6 +71,10 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     return header, rows
+
+
+SPIKE_DB = np.where(np.arange(101) == 50, 3000.0, 0.0)
+EDGES_DB = np.where(np.arange(101) % 100 == 0, 10 * math.log10(8e307), 0.0)
 
 
 def write_device(tmp_path, base=DEVICE, drive=None, **fields):
@@ -540,7 +544,18 @@ class TestFitCommands:
         ("fit-noise", "noise_psd", [0.05, 0.1, 0.2], [1.2e-20, 1.5e-20, 2.1e-20],
          ["--f-hz", "1e300"], "noise fit overflows at its start (noise density up to "
          "2.1e-20 W/Hz at omega=6.28319e+300 rad/s)"),
-    ], ids=["bias_current", "noise_density", "noise_frequency"])
+        # one 3000 dB sample is a finite linear power of 1e300
+        ("fit-gain", "gain_db", 7e9 + 1e6 * np.arange(101), SPIKE_DB, [],
+         "gain fit overflows estimating its starts (gain up to 3000 dB, "
+         "frequencies up to 7.1e+09 Hz)"),
+        ("gbp", "gain_db", 7e9 + 1e6 * np.arange(101), SPIKE_DB, [],
+         "Lorentzian fit overflows at its start (gain up to 3000 dB)"),
+        # two 8e307 edge samples: a finite centroid, an overflowing design
+        ("fit-gain", "gain_db", 0.01 * np.arange(101), EDGES_DB, [],
+         "gain fit overflows estimating its starts (gain up to 3079.03 dB, "
+         "frequencies up to 1 Hz)"),
+    ], ids=["bias_current", "noise_density", "noise_frequency", "gain_spike", "gbp_spike",
+            "gain_edges"])
     def test_overflowing_fit_input_prints_no_warning(self, tmp_path, command, kind, x, y,
                                                      extra, message):
         path = tmp_path / "huge.csv"
@@ -626,8 +641,8 @@ class TestFitCommands:
                          kind="gain_db"), path)
         result = run_process(["fit-gain", str(path)])
         assert (result.returncode, result.stdout) == (3, "")
-        assert result.stderr.endswith("kipa: gain fit has no finite residual at any start "
-                                      "(gain down to -1e+160 dB)\n")
+        assert result.stderr == ("kipa: gain fit has no finite residual at any start "
+                                 "(gain down to -1e+160 dB)\n")
 
 
 class TestOracleCheckCommand:
@@ -659,6 +674,17 @@ class TestOracleCheckCommand:
 
 
 class TestEmitPlotData:
+    @pytest.mark.parametrize("x_column", ["freq_hz", "phase_rad"])
+    def test_bytes_match_per_element_formatter(self, tmp_path, x_column):
+        x = np.array([-1e308, -5e-324, -0.0, 2.2250738585072014e-309, 1.0, 1e308])
+        gain_db = np.array([-0.0, 1e308, -1e308, 5e-324, -1e-310, 0.1])
+        path = tmp_path / "plot.csv"
+        cli.emit_plot_data(x, gain_db, path, x_column=x_column)
+        expected = [f"{x_column},gain_db"]
+        for x_value, gain in zip(x, gain_db):
+            expected.append(f"{float(x_value)!r},{float(gain)!r}")
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+
     def test_phase_column_layout(self, tmp_path):
         from kipa.cli import emit_plot_data
 
@@ -752,3 +778,43 @@ def test_subcommand_raises_no_numpy_warning(monkeypatch, smoke_files, argv):
     result = run_process(argv.format(d=smoke_files).split())
     assert (result.returncode, result.stderr) == (0, "")
     json.loads(result.stdout)
+
+
+# a -c wrapper around runpy: ``python -m kipa`` that prints the kipa
+# modules loaded at exit to stderr, where a successful call writes nothing
+MODULE_PROBE = """import runpy, sys
+try:
+    runpy.run_module("kipa", run_name="__main__", alter_sys=True)
+finally:
+    print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "kipa")),
+          file=sys.stderr)
+"""
+CONFIG_MODULES = {"ampcore"}
+FIT_MODULES = {"ampcore", "calfit", "constants"}
+MODULE_SETS = [
+    ("noise --f-hz 7.155e9 --eta 0.9 --g-k 1000 --g-h 1e6 --n-h 10 --t-k 0.1 --t-dev-k 0.1",
+     {"constants", "noise"}),
+    ("gain --config {d}/dev.json", CONFIG_MODULES),
+    ("phase --config {d}/dev.json", CONFIG_MODULES),
+    ("double-gain --config {d}/dev.json", CONFIG_MODULES),
+    ("regime-map --config {d}/dev.json", CONFIG_MODULES),
+    ("stability --config {d}/dev.json", CONFIG_MODULES),
+    ("fit-gain {d}/gain.csv", FIT_MODULES),
+    ("fit-resonance {d}/refl.csv", FIT_MODULES),
+    ("fit-bias {d}/bias.csv", FIT_MODULES),
+    ("fit-noise {d}/noise.csv --f-hz 7.0e9", FIT_MODULES),
+    ("gbp {d}/gain.csv", FIT_MODULES),
+    ("oracle-check --draws 10 --seed 7", {"ampcore", "oracle", "prng"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", MODULE_SETS,
+                         ids=[argv.split()[0] for argv, _ in MODULE_SETS])
+def test_subcommand_loads_only_its_modules(smoke_files, argv, modules):
+    """Each subcommand imports the package, cli, datio, errors and params,
+    and only the modules it runs beyond them."""
+    result = run_process(argv.format(d=smoke_files).split(), launch=("-c", MODULE_PROBE))
+    assert result.returncode == 0, result.stderr
+    json.loads(result.stdout)
+    loaded = {"cli", "datio", "errors", "params", *modules}
+    assert result.stderr.split() == sorted(["kipa", *(f"kipa.{m}" for m in loaded)])

@@ -403,6 +403,24 @@ class TestTraceIO:
         assert (back.y.view(np.float64).view(np.int64).tolist()
                 == trace.y.view(np.float64).view(np.int64).tolist())
 
+    @pytest.mark.parametrize("kind", ["gain_db", "reflection"])
+    def test_save_bytes_match_per_element_formatter(self, tmp_path, kind):
+        x = np.array([-1e308, -5e-324, -0.0, 2.2250738585072014e-309, 1.0, 1e308])
+        y = np.array([-0.0, 1e308, -1e308, 5e-324, -1e-310, 0.1])
+        if kind == "reflection":  # set, not summed, to keep the signed zeros
+            y = y.astype(complex)
+            y.imag = y.real[::-1]
+        trace = Trace(x=x, y=y, kind=kind)
+        path = tmp_path / "trace.csv"
+        save_trace(trace, path)
+        expected = [f"# kind={kind}", ",".join(TRACE_COLUMNS[kind])]
+        for xv, yv in zip(trace.x, trace.y):
+            if kind == "reflection":
+                expected.append(f"{float(xv)!r},{float(yv.real)!r},{float(yv.imag)!r}")
+            else:
+                expected.append(f"{float(xv)!r},{float(yv)!r}")
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+
     def test_three_line_reflection_file(self, tmp_path):
         path = tmp_path / "refl.csv"
         path.write_text(
