@@ -159,9 +159,11 @@ def _squares(x) -> np.ndarray:
 def _require_stable(stab, g) -> None:
     """Raise UnstableRegime at the first working point where |g| is at or
     above the threshold of ``stab`` (a SingleModeStability or
-    DoubleModeStability, for one working point or arrays of them; only
-    its threshold is read): the closed forms then describe
-    self-oscillation, not amplification."""
+    DoubleModeStability, for one working point or arrays of them; a true
+    scalar ``stab.stable`` returns at once, else only the threshold is
+    read): the closed forms then describe self-oscillation."""
+    if stab.stable is True or stab.stable is np.True_:  # the fits' hot path
+        return
     bad = np.flatnonzero(np.logical_not(abs(g) < stab.threshold))
     if not len(bad):
         return

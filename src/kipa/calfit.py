@@ -31,12 +31,12 @@ from .constants import hbar, k_B
 from .errors import (
     FitError,
     IllConditioned,
-    KipaError,
     NoPeak,
     NonPhysical,
     NotConverged,
     PoleAtFrequency,
     UnstableFit,
+    UnstableRegime,
 )
 from .errors import finite_or_nonphysical as _finite
 from .params import ResonatorParams, Trace, hz_to_angular, power_linear
@@ -58,6 +58,8 @@ _MAX_ITER = 200
 _PARAM_TOL = 1e-10
 _RESID_TOL = 1e-12
 _JACOBIAN_STEP = 1e-6
+# what a model raises at a point it cannot evaluate: an infeasible trial point
+_INFEASIBLE = (ValueError, NonPhysical, PoleAtFrequency, UnstableRegime)
 
 
 def _jacobian(residual_fn, p, r0, scale):
@@ -71,7 +73,7 @@ def _jacobian(residual_fn, p, r0, scale):
         trial[j] += h
         try:
             r1 = residual_fn(trial)
-        except ValueError:
+        except _INFEASIBLE:
             trial[j] = p[j] - h
             r1 = residual_fn(trial)
             h = -h
@@ -79,33 +81,42 @@ def _jacobian(residual_fn, p, r0, scale):
     return J
 
 
-def damped_least_squares(residual_fn, p0, scale=None):
-    """Minimize sum(residual_fn(p)^2) from p0.
-
-    residual_fn may raise ValueError for an infeasible trial point, which
-    counts as a rejected step. Returns (p, iterations, residuals).
-    Raises IllConditioned if the Jacobian is rank-deficient at the start
-    and NotConverged if the iteration cap is reached.
+def damped_least_squares(residual_fn, p0, scale, *, overflow):
+    """Minimize sum(residual_fn(p)^2) from p0; each parameter varies on its
+    ``scale``. A trial point where residual_fn raises one of ``_INFEASIBLE``
+    or gives a cost that is not finite is a rejected step. At p0 the error
+    propagates, and such a cost raises NonPhysical(overflow), a message or
+    a callable as :func:`errors.finite_or_nonphysical` takes. Returns
+    (p, iterations, residuals). Raises IllConditioned if the Jacobian is
+    rank-deficient at the start, NotConverged at the iteration cap and
+    NonPhysical where the normal equations overflow.
     """
     p = np.array(p0, dtype=float)
+    scale = np.asarray(scale, dtype=float)
+    if np.any(scale <= 0):
+        raise ValueError("parameter scales must be positive")
+    r = _finite(lambda: np.asarray(residual_fn(p)), overflow)
+    ssr = float(_finite(lambda: r @ r, overflow))
+    step_overflow = f"least-squares step overflows (parameter scales down to {np.min(scale):g})"
+    # one guard over the iterations: numpy's warnings stay off, so a trial
+    # point that overflows is a rejected step, not a warning
+    return _finite(lambda: _iterate(residual_fn, p, r, ssr, scale, step_overflow),
+                   step_overflow)
+
+
+def _iterate(residual_fn, p, r, ssr, scale, overflow):
+    """:func:`damped_least_squares` from p, its residuals r and their sum
+    of squares ssr; NonPhysical(overflow) where J^T J is not finite."""
     n = len(p)
-    if scale is None:
-        scale = np.maximum(np.abs(p), 1.0)
-    else:
-        scale = np.asarray(scale, dtype=float)
-        if np.any(scale <= 0):
-            raise ValueError("parameter scales must be positive")
-    r = np.asarray(residual_fn(p))
-    ssr = float(r @ r)
     lam = 1e-3
     for iteration in range(1, _MAX_ITER + 1):
         J = _jacobian(residual_fn, p, r, scale)
+        # finite normal equations imply a finite J, as the rank check's SVD needs
+        JtJ, Jtr = _finite(lambda: (J.T @ J, J.T @ r), overflow)
         if iteration == 1 and np.linalg.matrix_rank(J) < n:
             raise IllConditioned(
                 "Jacobian is rank-deficient at the initial point"
             )
-        JtJ = J.T @ J
-        Jtr = J.T @ r
         diag = np.diag(JtJ).copy()
         floor = max(diag.max(), 1e-300) * 1e-14
         diag[diag < floor] = floor
@@ -118,7 +129,7 @@ def damped_least_squares(residual_fn, p0, scale=None):
                 raise IllConditioned(str(exc)) from exc
             try:
                 r_new = np.asarray(residual_fn(p + dp))
-            except ValueError:
+            except _INFEASIBLE:
                 lam *= 2.0
                 continue
             ssr_new = float(r_new @ r_new)
@@ -148,28 +159,24 @@ def damped_least_squares(residual_fn, p0, scale=None):
     raise NotConverged(f"iteration cap {_MAX_ITER} reached")
 
 
-def _sigma_from_jacobian(residual_fn, p, r, scale, names):
-    m, n = len(r), len(p)
-    J = _jacobian(residual_fn, p, np.asarray(r), scale)
-    ssr = float(np.asarray(r) @ np.asarray(r))
-    if m <= n:
-        return {name: 0.0 for name in names}
-    s2 = ssr / (m - n)
-    try:
-        cov = np.linalg.inv(J.T @ J) * s2
-    except np.linalg.LinAlgError:
-        return {name: float("inf") for name in names}
-    return {
-        name: float(math.sqrt(max(cov[i, i], 0.0))) for i, name in enumerate(names)
-    }
-
-
 def _result(residual_fn, p, iterations, r, scale, names):
-    sigma = _sigma_from_jacobian(residual_fn, p, r, scale, names)
+    """FitResult at the optimum p; sigma is inf where the covariance is singular."""
+    m, n = len(r), len(p)
+    ssr = float(r @ r)
+
+    def covariance():
+        J = _jacobian(residual_fn, p, r, scale)
+        return np.zeros((n, n)) if m <= n else np.linalg.inv(J.T @ J) * (ssr / (m - n))
+
+    try:
+        var = np.diag(_finite(covariance, lambda _: (
+            f"fit covariance overflows (residual rms {math.sqrt(ssr / m):g})")))
+    except np.linalg.LinAlgError:
+        var = np.full(n, math.inf)
     return FitResult(
         params={name: float(v) for name, v in zip(names, p)},
-        sigma=sigma,
-        residual_rms=float(np.sqrt(np.mean(np.asarray(r) ** 2))),
+        sigma={name: math.sqrt(max(v, 0.0)) for name, v in zip(names, var)},
+        residual_rms=float(np.sqrt(np.mean(r**2))),
         iterations=iterations,
     )
 
@@ -216,20 +223,14 @@ def _signal(res: ResonatorParams, g, f_hz, f_center, offsets):
     """Signal gain factor of :func:`ampcore.single_mode_gain` at zero
     detuning and phase, on rates kept as scalars (an array square may
     round g**2 differently) and the grid terms ``offsets(f_hz, f_center)``.
-    Raises ValueError where single_mode_gain's checks do (|g| >= kappa/2,
-    offsets not strictly increasing) and on an overflow; a pole raises
-    PoleAtFrequency."""
+    Raises what single_mode_gain raises: UnstableRegime for |g| >= kappa/2,
+    NonPhysical on an overflow and PoleAtFrequency at a pole; and
+    ValueError for offsets that do not strictly increase. Each is one of
+    ``_INFEASIBLE``."""
     kappa = res.kappa
-    if not abs(g) < kappa / 2.0:
-        raise ValueError(
-            f"g={g:g} rad/s is at or above the oscillation threshold "
-            f"kappa/2={kappa / 2.0:g} rad/s"
-        )
+    ampcore._require_stable(ampcore._single_stability(kappa, g), g)
     grid, increasing = offsets(f_hz, f_center)
-    try:
-        signal, _ = ampcore._single_mode_signal(kappa, res.eta, g, 0.0, grid)
-    except NonPhysical as exc:
-        raise ValueError(str(exc)) from exc
+    signal, _ = ampcore._single_mode_signal(kappa, res.eta, g, 0.0, grid)
     if not increasing:  # a far-off center collapses the offsets
         raise ValueError("frequency offsets must be strictly increasing")
     return signal
@@ -240,11 +241,9 @@ def _reflection_model(f_hz, f0, kappa_e_hz, kappa_i_hz, offsets=_offsets):
 
 
 def _gain_model_db(f_hz, g_hz, kappa_e_hz, kappa_i_hz, f_center, offsets=_offsets):
+    """Power gain [dB] of :func:`_signal`; raises as it does."""
     res = _resonator(max(f_center, 1.0), kappa_e_hz, kappa_i_hz)
-    try:
-        signal = _signal(res, hz_to_angular(g_hz), f_hz, f_center, offsets)
-    except PoleAtFrequency as exc:  # infeasible trial point
-        raise ValueError(str(exc)) from exc
+    signal = _signal(res, hz_to_angular(g_hz), f_hz, f_center, offsets)
     # power_db(np.abs(signal) ** 2), in place on the one temporary
     power = np.square(np.abs(signal))
     return np.multiply(10.0, np.log10(power, out=power), out=power)
@@ -278,16 +277,6 @@ def _linear_power(y_db) -> np.ndarray:
                    lambda _: f"a gain of {np.max(y_db):g} dB overflows as a linear power")
 
 
-def _require_finite_start(residuals, p0, message) -> None:
-    """NonPhysical(message) unless the squared residuals at the start
-    ``p0`` are finite: checked once, so the LM loop runs unguarded."""
-    def start_cost():
-        r = residuals(p0)
-        return r @ r
-
-    _finite(start_cost, message)
-
-
 def _width_above(f, y, level) -> float:
     """Span of f between the first and last sample with y above level,
     at least one grid step: the half-maximum width that seeds a fit."""
@@ -295,30 +284,31 @@ def _width_above(f, y, level) -> float:
     return max(float(f[above[-1]] - f[above[0]]), float(f[1] - f[0]))
 
 
-def fit_reflection(trace: Trace, init: dict | None = None) -> FitResult:
+def fit_reflection(trace: Trace) -> FitResult:
     """Resonance parameters {f0_hz, kappa_e_hz, kappa_i_hz} from a complex
     reflection trace, model S11(f) = eta*k / (k/2 - i(f - f0)) - 1.
 
-    Auto-initialization: f0 at the |S11| minimum, kappa from the width of
+    Initialization: f0 at the |S11| minimum, kappa from the width of
     the 1-|S11|^2 dip, eta from the dip depth. Residuals are the stacked
     real and imaginary parts.
     """
     _require_trace(trace, "reflection", "fit_reflection", "reflection trace")
     f = trace.x
     y = trace.y
-    if init is None:
-        dip = 1.0 - np.abs(y) ** 2
-        peak = float(dip.max())
-        if peak < 1e-9:
-            raise IllConditioned("no resonance dip in the reflection trace")
-        i0 = int(np.argmin(np.abs(y)))
-        f0 = float(f[i0])
-        kappa_hz = _width_above(f, dip, peak / 2.0)
-        eta = (1.0 + float(np.real(y[i0]))) / 2.0
-        eta = min(max(eta, 0.05), 0.995)
-        p0 = [f0, eta * kappa_hz, (1.0 - eta) * kappa_hz]
-    else:
-        p0 = [init["f0_hz"], init["kappa_e_hz"], init["kappa_i_hz"]]
+
+    def overflow(_):
+        return f"reflection fit overflows at its start (|S11| up to {np.max(np.abs(y)):g})"
+
+    dip = _finite(lambda: 1.0 - np.abs(y) ** 2, overflow)
+    peak = float(dip.max())
+    if peak < 1e-9:
+        raise IllConditioned("no resonance dip in the reflection trace")
+    i0 = int(np.argmin(np.abs(y)))
+    f0 = float(f[i0])
+    kappa_hz = _width_above(f, dip, peak / 2.0)
+    eta = (1.0 + float(np.real(y[i0]))) / 2.0
+    eta = min(max(eta, 0.05), 0.995)
+    p0 = [f0, eta * kappa_hz, (1.0 - eta) * kappa_hz]
     span = float(f[-1] - f[0])
     scale = np.array([span, p0[1] + p0[2], p0[1] + p0[2]])
 
@@ -330,7 +320,7 @@ def fit_reflection(trace: Trace, init: dict | None = None) -> FitResult:
         return np.concatenate([model.real, model.imag])
 
     names = ("f0_hz", "kappa_e_hz", "kappa_i_hz")
-    p, iterations, r = damped_least_squares(residuals, p0, scale=scale)
+    p, iterations, r = damped_least_squares(residuals, p0, scale=scale, overflow=overflow)
     return _result(residuals, p, iterations, r, scale, names)
 
 
@@ -521,7 +511,7 @@ def fit_gain_profile(trace: Trace, kappa_hint: float | None = None) -> FitResult
     def start_cost(start):
         try:
             r = residuals(np.array(start))
-        except ValueError:
+        except _INFEASIBLE:
             return math.inf
         return float(r @ r)
 
@@ -539,15 +529,14 @@ def fit_gain_profile(trace: Trace, kappa_hint: float | None = None) -> FitResult
         candidates = [starts[i] for i in order if math.isfinite(costs[i])]
         if candidates:
             return candidates
-        try:
-            residuals(np.array(starts[order[0]]))
-        except ValueError as exc:  # the model's refusal, or the kipa error behind it
-            raise exc.__cause__ if isinstance(exc.__cause__, KipaError) else exc
+        residuals(np.array(starts[order[0]]))
         return costs[order[0]]
 
+    def no_finite_start(_):
+        return f"gain fit has no finite residual at any start (gain down to {np.min(y_db):g} dB)"
+
     # one guard over the whole ranking: a cost that overflows is infinite, not a warning
-    candidates = _finite(ranked_starts, lambda _: f"gain fit has no finite residual at any "
-                                                  f"start (gain down to {np.min(y_db):g} dB)")
+    candidates = _finite(ranked_starts, no_finite_start)
     names = ("g_hz", "kappa_e_hz", "kappa_i_hz", "f_center_hz")
     best = None
     first_error = None
@@ -558,7 +547,8 @@ def fit_gain_profile(trace: Trace, kappa_hint: float | None = None) -> FitResult
         # however lopsided the starting split is
         scale = np.array([kappa0 / 2.0, kappa0, kappa0, span])
         try:
-            p, iterations, r = damped_least_squares(residuals, p0, scale=scale)
+            p, iterations, r = damped_least_squares(residuals, p0, scale=scale,
+                                                    overflow=no_finite_start)
         except FitError as exc:
             first_error = first_error or exc
             continue
@@ -596,23 +586,29 @@ def fit_noise_temperature(trace: Trace, omega: float) -> FitResult:
     if np.any(T <= 0):
         raise ValueError("temperatures must be > 0 for the noise model")
     y = trace.y.astype(float)
-    # Rayleigh-Jeans: N ~ G*k_B*T + G*hbar*w*n_add at high T
-    upper = T >= np.median(T)
-    slope = float(np.polyfit(T[upper], y[upper], 1)[0])
-    g_tot0 = max(slope / k_B, 1.0)
-    n_add0 = float(np.mean(y / (g_tot0 * hbar * omega))
-                   - np.mean(0.5 / np.tanh(hbar * omega / (2.0 * k_B * T))))
+
+    def overflow(_):
+        return (f"noise fit overflows at its start (noise density up to "
+                f"{np.max(np.abs(y)):g} W/Hz at omega={omega:g} rad/s)")
+
+    def start():  # Rayleigh-Jeans: N ~ G*k_B*T + G*hbar*w*n_add at high T
+        if T[-1] * T[-1] == 0.0:  # polyfit's column scale would be 0, a NaN to LAPACK
+            return math.nan
+        upper = T >= np.median(T)  # full=True: a rank-deficient design is no warning
+        slope = float(np.polyfit(T[upper], y[upper], 1, full=True)[0][0])
+        g_tot0 = max(slope / k_B, 1.0)
+        return g_tot0, float(np.mean(y / (g_tot0 * hbar * omega))
+                             - np.mean(0.5 / np.tanh(hbar * omega / (2.0 * k_B * T))))
+
+    g_tot0, n_add0 = _finite(start, overflow)
     p0 = [g_tot0, max(n_add0, 0.1)]
     scale = np.array([g_tot0, 1.0])
 
     def residuals(p):
         return _noise_model(T, p[0], p[1], omega) - y
 
-    _require_finite_start(residuals, p0, lambda _: (
-        f"noise fit overflows at its start (noise density up to "
-        f"{np.max(np.abs(y)):g} W/Hz at omega={omega:g} rad/s)"))
     names = ("g_tot", "n_add")
-    p, iterations, r = damped_least_squares(residuals, p0, scale=scale)
+    p, iterations, r = damped_least_squares(residuals, p0, scale=scale, overflow=overflow)
     result = _result(residuals, p, iterations, r, scale, names)
     n_add = result.params["n_add"]
     sigma_n = result.sigma["n_add"]
@@ -653,8 +649,7 @@ def fit_lorentzian(trace: Trace) -> FitResult:
             raise ValueError("fwhm must stay positive")
         return _lorentzian(f, p[0], p[1], p[2], p[3]) - y_lin
 
-    _require_finite_start(residuals, p0, lambda _: (
-        f"Lorentzian fit overflows at its start (gain up to {np.max(y_db):g} dB)"))
     names = ("peak_lin", "f_peak_hz", "fwhm_hz", "baseline_lin")
-    p, iterations, r = damped_least_squares(residuals, p0, scale=scale)
+    p, iterations, r = damped_least_squares(residuals, p0, scale=scale, overflow=lambda _: (
+        f"Lorentzian fit overflows at its start (gain up to {np.max(y_db):g} dB)"))
     return _result(residuals, p, iterations, r, scale, names)

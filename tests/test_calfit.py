@@ -16,6 +16,7 @@ from kipa import (
     PoleAtFrequency,
     ResonatorParams,
     Trace,
+    UnstableRegime,
     fit_bias_sweep,
     fit_gain_profile,
     fit_lorentzian,
@@ -95,9 +96,9 @@ def reference_single_mode_signal(kappa, eta, g, delta, w):
 
 def reference_signal(f_hz, f_center, kappa_e_hz, kappa_i_hz, g_hz):
     """The fit models' signal factor on the reference kernel, checked as
-    single_mode_gain checks it: ValueError at or above threshold, on an
-    overflow and for offsets that do not strictly increase; a pole raises
-    PoleAtFrequency."""
+    single_mode_gain checks it: UnstableRegime at or above threshold,
+    NonPhysical on an overflow and PoleAtFrequency at a pole; ValueError
+    for offsets that do not strictly increase."""
     res = ResonatorParams(
         omega0=hz_to_angular(max(f_center, 1.0)),
         kappa_e=hz_to_angular(kappa_e_hz),
@@ -105,12 +106,10 @@ def reference_signal(f_hz, f_center, kappa_e_hz, kappa_i_hz, g_hz):
     )
     g = hz_to_angular(g_hz)
     if not abs(g) < res.kappa / 2.0:
-        raise ValueError("at or above the oscillation threshold")
+        raise UnstableRegime(f"g={g:g} rad/s is at or above the oscillation threshold "
+                             f"kappa/2={res.kappa / 2.0:g} rad/s")
     w = hz_to_angular(np.asarray(f_hz) - f_center)
-    try:
-        signal, _ = reference_single_mode_signal(res.kappa, res.eta, g, 0.0, w)
-    except NonPhysical as exc:
-        raise ValueError(str(exc)) from exc
+    signal, _ = reference_single_mode_signal(res.kappa, res.eta, g, 0.0, w)
     if not (w[1:] > w[:-1]).all():
         raise ValueError("frequency offsets must be strictly increasing")
     return signal
@@ -121,10 +120,7 @@ def reference_reflection_model(f_hz, f0, kappa_e_hz, kappa_i_hz):
 
 
 def reference_gain_model_db(f_hz, g_hz, kappa_e_hz, kappa_i_hz, f_center):
-    try:
-        signal = reference_signal(f_hz, f_center, kappa_e_hz, kappa_i_hz, g_hz)
-    except PoleAtFrequency as exc:  # infeasible trial point
-        raise ValueError(str(exc)) from exc
+    signal = reference_signal(f_hz, f_center, kappa_e_hz, kappa_i_hz, g_hz)
     return 10.0 * np.log10(np.abs(signal) ** 2)
 
 
@@ -136,16 +132,19 @@ def outcome(model, *args):
 
 
 def error_kind(exc):
-    """ValueError for any of its subclasses (an infeasible trial point to
-    the LM), else the exception's type."""
+    """ValueError for any of its subclasses (the value types' domain checks
+    and the offsets check), else the exception's type."""
     return ValueError if isinstance(exc, ValueError) else type(exc)
 
 
 def assert_same_outcome(new, reference):
-    """Equal arrays, bit for bit, or the same kind of exception."""
+    """Equal arrays, bit for bit, or the same kind of exception; a kernel
+    error with the same message."""
     if isinstance(reference, Exception):
         assert isinstance(new, Exception), new
         assert error_kind(new) is error_kind(reference), (new, reference)
+        if error_kind(reference) is not ValueError:
+            assert str(new) == str(reference), (new, reference)
     else:
         assert isinstance(new, np.ndarray), new
         assert np.array_equal(new.view(float), reference.view(float))
@@ -272,9 +271,9 @@ class TestSignalOnlyModels:
         f = np.array([7.0e9 - 1e6, 7.0e9, 7.0e9 + 1e6])
         args = (f, np.float64(15e6 * (1.0 - 1e-13)), np.float64(25e6),
                 np.float64(5e6), np.float64(7.0e9))
-        with pytest.raises(ValueError, match="gain pole at omega=0"):
+        with pytest.raises(PoleAtFrequency, match="gain pole at omega=0"):
             reference_gain_model_db(*args)
-        with pytest.raises(ValueError, match="gain pole at omega=0"):
+        with pytest.raises(PoleAtFrequency, match="gain pole at omega=0"):
             calfit._gain_model_db(*args)
 
     @pytest.mark.parametrize("model, args", [
@@ -285,7 +284,7 @@ class TestSignalOnlyModels:
     ], ids=["gain", "reflection"])
     def test_overflow_is_an_infeasible_trial_point(self, model, args):
         # the model built on single_mode_gain emitted a RuntimeWarning here
-        with pytest.raises(ValueError, match=r"^gain denominator overflows \(kappa up to"):
+        with pytest.raises(NonPhysical, match=r"^gain denominator overflows \(kappa up to"):
             model(np.array([7.0e9 - 1e6, 7.0e9 + 1e6]), *args)
 
 
@@ -475,10 +474,10 @@ class TestFitGainProfile:
             fit_base.params["g_hz"], rel=1e-6
         )
 
-    def test_above_threshold_trial_point_is_a_value_error(self):
+    def test_above_threshold_trial_point_is_unstable_regime(self):
         from kipa import calfit
 
-        with pytest.raises(ValueError, match="threshold"):
+        with pytest.raises(UnstableRegime, match="threshold"):
             calfit._gain_model_db([7.0e9], 20e6, 25e6, 5e6, 7.0e9)  # g > kappa/2
 
     def test_grid_terms_once_per_center_and_no_pole_scan(self, monkeypatch):
@@ -533,7 +532,7 @@ class TestFitGainProfile:
                             lambda *args: two_starts(*args) + [above_threshold])
         assert fit_gain_profile(trace) == expected
         monkeypatch.setattr(calfit, "_gain_profile_starts", lambda *args: [above_threshold])
-        with pytest.raises(ValueError, match="threshold"):
+        with pytest.raises(UnstableRegime, match="threshold"):
             fit_gain_profile(trace)
 
 
@@ -666,9 +665,50 @@ class TestOptimizerCore:
         def residuals(p):
             return np.array([p[0] - 3.0, p[1] + 2.0])
 
-        p, iterations, r = damped_least_squares(residuals, [0.0, 0.0])
+        p, iterations, r = damped_least_squares(residuals, [0.0, 0.0], [1.0, 1.0],
+                                                overflow="unused")
         assert np.allclose(p, [3.0, -2.0])
         assert float(np.dot(r, r)) < 1e-20
+
+    @pytest.mark.parametrize("error", calfit._INFEASIBLE)
+    def test_refused_trial_points_are_rejected_steps(self, error):
+        # a quadratic bowl whose model refuses every other trial point: the
+        # LM must step around the refusals and still reach the minimum
+        calls = []
+
+        def residuals(p):
+            calls.append(1)
+            if len(calls) > 1 and len(calls) % 2 == 0:
+                raise error("refused trial point")
+            return np.array([p[0] - 3.0, 2.0 * (p[1] + 2.0), 0.1 * p[0] * p[1]])
+
+        free, _, _ = damped_least_squares(
+            lambda p: np.array([p[0] - 3.0, 2.0 * (p[1] + 2.0), 0.1 * p[0] * p[1]]),
+            [1.0, 1.0], [1.0, 1.0], overflow="unused")
+        p, _, _ = damped_least_squares(residuals, [1.0, 1.0], [1.0, 1.0], overflow="unused")
+        assert np.allclose(p, free, rtol=1e-8)
+
+    @pytest.mark.parametrize("error", calfit._INFEASIBLE)
+    def test_refusal_at_the_start_propagates_with_its_type(self, error):
+        def residuals(p):
+            raise error("start cannot be evaluated")
+
+        with pytest.raises(error, match="^start cannot be evaluated$") as info:
+            damped_least_squares(residuals, [1.0, 1.0], [1.0, 1.0], overflow="unused")
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("overflow", ["start overflows",
+                                          lambda value: "start overflows"])
+    def test_overflowing_start_cost_is_named_non_physical(self, overflow):
+        import warnings
+
+        def residuals(p):
+            return np.full(4, 1e200) * p[0] + p[1]  # finite, but r @ r overflows
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPhysical, match="^start overflows$"):
+                damped_least_squares(residuals, [1.0, 0.0], [1.0, 1.0], overflow=overflow)
 
     def test_estimator_consistency_across_noise_scales(self):
         # parameter errors scale with the noise amplitude (factor 10 +- 3x)

@@ -8,11 +8,14 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from kipa import Trace, cli, errors, save_trace
+from kipa import Trace, cli, datio, errors, save_trace
 from kipa.cli import main
 
 DEVICE = {
@@ -73,6 +76,19 @@ def read_csv(path):
     return header, rows
 
 
+def reflection_dip(f_hz):
+    """S11 of a 7 GHz mode with kappa = 20 MHz and eta = 0.9 on ``f_hz``."""
+    from kipa import ResonatorParams, hz_to_angular, single_mode_gain
+
+    res = ResonatorParams(omega0=hz_to_angular(7e9), kappa_e=hz_to_angular(18e6),
+                          kappa_i=hz_to_angular(2e6))
+    signal, _ = single_mode_gain(res, 0.0, 0.0, 0.0, hz_to_angular(f_hz - 7e9))
+    return signal.values
+
+
+REFLECTION_DIP = (np.linspace(7e9 - 1e8, 7e9 + 1e8, 201),
+                  reflection_dip(np.linspace(7e9 - 1e8, 7e9 + 1e8, 201)))
+NOISE_SWEEP = (np.linspace(0.05, 1.0, 25), np.linspace(1e-20, 2e-20, 25))
 SPIKE_DB = np.where(np.arange(101) == 50, 3000.0, 0.0)
 EDGES_DB = np.where(np.arange(101) % 100 == 0, 10 * math.log10(8e307), 0.0)
 
@@ -554,8 +570,27 @@ class TestFitCommands:
         ("fit-gain", "gain_db", 0.01 * np.arange(101), EDGES_DB, [],
          "gain fit overflows estimating its starts (gain up to 3079.03 dB, "
          "frequencies up to 1 Hz)"),
+        # every start's kappa, about the span, overflows the gain denominator
+        ("fit-resonance", "reflection", np.linspace(0.5e154, 2.5e154, 101),
+         np.full(101, 0.5 + 0j), [], "gain denominator overflows (kappa up to 1.25664e+155 rad/s)"),
+        ("fit-resonance", "reflection", REFLECTION_DIP[0], 1e200 * REFLECTION_DIP[1], [],
+         "reflection fit overflows at its start (|S11| up to 9.98216e+199)"),
+        ("fit-resonance", "reflection", REFLECTION_DIP[0],
+         np.where(np.arange(201) == 100, 1e160, REFLECTION_DIP[1]), [],
+         "reflection fit overflows at its start (|S11| up to 1e+160)"),
+        # temperatures whose squares underflow: polyfit's column scale is 0
+        ("fit-noise", "noise_psd", 1e-300 * NOISE_SWEEP[0], NOISE_SWEEP[1], ["--f-hz", "7e9"],
+         "noise fit overflows at its start (noise density up to 2e-20 W/Hz at "
+         "omega=4.39823e+10 rad/s)"),
+        ("fit-noise", "noise_psd", 1e300 * NOISE_SWEEP[0], NOISE_SWEEP[1], ["--f-hz", "7e9"],
+         "noise fit overflows at its start (noise density up to 2e-20 W/Hz at "
+         "omega=4.39823e+10 rad/s)"),
+        ("fit-noise", "noise_psd", *NOISE_SWEEP, ["--f-hz", "1e-300"],
+         "noise fit overflows at its start (noise density up to 2e-20 W/Hz at "
+         "omega=6.28319e-300 rad/s)"),
     ], ids=["bias_current", "noise_density", "noise_frequency", "gain_spike", "gbp_spike",
-            "gain_edges"])
+            "gain_edges", "reflection_far", "reflection_scaled", "reflection_spike",
+            "noise_tiny_t", "noise_huge_t", "noise_tiny_f"])
     def test_overflowing_fit_input_prints_no_warning(self, tmp_path, command, kind, x, y,
                                                      extra, message):
         path = tmp_path / "huge.csv"
@@ -643,6 +678,110 @@ class TestFitCommands:
         assert (result.returncode, result.stdout) == (3, "")
         assert result.stderr == ("kipa: gain fit has no finite residual at any start "
                                  "(gain down to -1e+160 dB)\n")
+
+
+def gain_profile(f_hz):
+    """Power gain [dB] of :func:`reflection_dip`'s mode at 0.9 of threshold."""
+    from kipa import ResonatorParams, hz_to_angular, single_mode_gain
+
+    res = ResonatorParams(omega0=hz_to_angular(7e9), kappa_e=hz_to_angular(18e6),
+                          kappa_i=hz_to_angular(2e6))
+    signal, _ = single_mode_gain(res, 0.9 * res.kappa / 2, 0.0, 0.0,
+                                 hz_to_angular(f_hz - 7e9))
+    return signal.power_db
+
+
+_CONTRACT_F = np.linspace(7e9 - 6e7, 7e9 + 6e7, 41)
+_CONTRACT_I = np.linspace(0.0, 3e-3, 41)
+# trace command -> (trace kind, base x, base y, base value of its one flag)
+CONTRACT_BASES = {
+    "fit-resonance": ("reflection", _CONTRACT_F, reflection_dip(_CONTRACT_F), None),
+    "fit-bias": ("bias_shift", _CONTRACT_I, 7e9 * (1 - 0.5 * (_CONTRACT_I / 5.86e-3) ** 2),
+                 None),
+    "fit-gain": ("gain_db", _CONTRACT_F, gain_profile(_CONTRACT_F), ("--kappa-hint-hz", 20e6)),
+    "fit-noise": ("noise_psd", *NOISE_SWEEP, ("--f-hz", 7e9)),
+    "gbp": ("gain_db", _CONTRACT_F, gain_profile(_CONTRACT_F), None),
+}
+# a factor of one, or a power of ten from 1e-300 to 1e300
+_FACTOR = st.one_of(st.just(1.0), st.integers(-300, 300).map(lambda e: 10.0 ** e))
+
+
+def scaled(values, factor):
+    """``values`` times ``factor``, or times the largest factor that keeps
+    them below 1e300 in magnitude."""
+    return values * min(factor, 1e300 / float(np.max(np.abs(values))))
+
+
+@st.composite
+def contract_cases(draw):
+    """(command, kind, x, y, flags): a base trace with x, y and the flag
+    value each scaled, and at most one y sample replaced by a spike."""
+    command = draw(st.sampled_from(sorted(CONTRACT_BASES)))
+    kind, x, y, flag = CONTRACT_BASES[command]
+    x, y = scaled(x, draw(_FACTOR)), scaled(y, draw(_FACTOR))
+    spike = draw(st.none() | st.tuples(st.integers(0, len(y) - 1),
+                                       st.sampled_from([1.0, -1.0]), _FACTOR))
+    if spike is not None:
+        y = y.copy()
+        y[spike[0]] = spike[1] * spike[2]
+    flags = []
+    if flag is not None and (command == "fit-noise" or draw(st.booleans())):
+        flags = [flag[0], repr(float(scaled(flag[1], draw(_FACTOR))))]
+    return command, kind, x, y, flags
+
+
+def write_trace_text(path, kind, x, y):
+    """A trace file of ``kind`` holding x and y as written, including rows
+    the loader refuses."""
+    rows = [f"{a!r},{b.real!r},{b.imag!r}" if kind == "reflection" else f"{a!r},{b!r}"
+            for a, b in zip(x.tolist(), y.tolist())]
+    path.write_text("\n".join([f"# kind={kind}", ",".join(datio.TRACE_COLUMNS[kind]),
+                               *rows]) + "\n", encoding="utf-8")
+
+
+def contract_example(command, x, y, flags=()):
+    kind = CONTRACT_BASES[command][0]
+    return example(case=(command, kind, np.asarray(x), np.asarray(y), list(flags)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=contract_cases())
+@contract_example("fit-resonance", np.linspace(0.5e154, 2.5e154, 101), np.full(101, 0.5 + 0j))
+@contract_example("fit-resonance", REFLECTION_DIP[0], 1e200 * REFLECTION_DIP[1])
+@contract_example("fit-resonance", REFLECTION_DIP[0],
+                  np.where(np.arange(201) == 100, 1e160, REFLECTION_DIP[1]))
+@contract_example("fit-noise", 1e-300 * NOISE_SWEEP[0], NOISE_SWEEP[1], ["--f-hz", "7e9"])
+@contract_example("fit-noise", 1e300 * NOISE_SWEEP[0], NOISE_SWEEP[1], ["--f-hz", "7e9"])
+@contract_example("fit-noise", *NOISE_SWEEP, ["--f-hz", "1e-300"])
+def test_trace_commands_keep_the_exit_contract(capfd, tmp_path, case):
+    """On traces of extreme but finite values each trace command exits 0
+    with one strict JSON record, 2 only where the loader refuses the file,
+    or 3, and it prints no warning, traceback or internal error."""
+    command, kind, x, y, flags = case
+    path = tmp_path / "trace.csv"
+    write_trace_text(path, kind, x, y)
+    try:
+        datio.load_trace(path, kind)
+        loader_refuses = False
+    except (errors.KipaError, ValueError):
+        loader_refuses = True
+    capfd.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, str(path), *flags])
+    out, err = capfd.readouterr()
+    assert [str(w.message) for w in caught] == []
+    for text in ("Warning", "Traceback", "internal error"):
+        assert text not in err
+    assert code in (0, 2, 3), err
+    assert (code == 2) == loader_refuses, err
+    if code == 0:
+        record = json.loads(out, parse_constant=lambda name: pytest.fail(name))
+        assert record["operation"] == command
+    else:
+        assert out == ""
+        assert err.startswith("kipa: ") and err.count("\n") == 1, err
 
 
 class TestOracleCheckCommand:
