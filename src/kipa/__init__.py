@@ -28,8 +28,7 @@ _EXPORTS = {
         "fit_noise_temperature", "fit_reflection",
     ),
     "datio": (
-        "DeviceConfig", "ResultRecord", "load_config", "load_trace", "make_record",
-        "read_result", "save_trace", "write_result",
+        "DeviceConfig", "load_config", "load_trace", "make_record", "save_trace",
     ),
     "errors": (
         "IllConditioned", "KipaError", "NoPeak", "NonPhysical", "NotConverged",

@@ -31,6 +31,7 @@ from .params import (
 
 # Relative tolerance below which a gain denominator counts as a real pole.
 _POLE_RTOL = 1e-12
+_TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +244,9 @@ def _single_mode_signal(kappa, eta, g, delta, grid):
     """(signal, D): the signal gain factor of :func:`single_mode_gain` on
     the offsets of ``grid`` (from :func:`_grid_terms`) and its denominator
     D(w); arguments broadcast. Raises NonPhysical where D or its scale
-    overflows, naming the largest rate, and PoleAtFrequency at the first
-    pole; stability is the caller's check.
+    overflows, naming the largest rate, or (for scalar rates) where
+    (kappa/2)**2 underflows below the smallest normal double, and
+    PoleAtFrequency at the first pole; stability is the caller's check.
 
     The scale of D at w is delta**2 + g**2 + kappa**2/4 + w**2, and
     |D| <= scale. For scalar rates one bound, that sum at max w**2, decides
@@ -262,6 +264,9 @@ def _single_mode_signal(kappa, eta, g, delta, grid):
     try:
         if scalar:  # Python float ** raises OverflowError where numpy gives inf
             g2, k2 = float(g) ** 2, (float(kappa) / 2.0) ** 2
+            if k2 < _TINY:  # D is not resolved below the smallest normal double
+                raise NonPhysical("gain denominator underflows "
+                                  f"(kappa down to {abs(float(kappa)):g} rad/s)")
             rates = float(delta) ** 2 + g2 + k2
             finite = math.isfinite(rates + w2_max)
         else:  # one scale per sample
@@ -753,7 +758,8 @@ def _grid_peaks(rates, deltas, poles, w):
     """Grid index of the first maximum of |S_a|^2 in dB over ``w`` for
     each detuning in ``deltas`` (one pump point each, with the response
     poles ``poles``, shape (n, 4)), evaluating only the cells that the
-    certificate of :func:`pump_regime_map` cannot rule out."""
+    certificate of :func:`pump_regime_map` cannot rule out. Runs under
+    its caller's ``np.errstate``."""
     kappa_a, kappa_b, kappa_ae, J, g = rates
     step = _COARSE_STRIDE
     delta = deltas[:, None]
@@ -768,30 +774,29 @@ def _grid_peaks(rates, deltas, poles, w):
     tol = _POLE_TOL * (np.abs(deltas) + J + max(kappa_a, kappa_b) + g)
     lo, hi = ends[:-1], ends[1:]
     partial = f0 = f1 = f2 = 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        residues = kappa_ae * bm * upper / gaps.prod(axis=2)
-        weights = np.abs(residues) * (1.0 + _RESIDUE_PAD)
-        for k in range(4):
-            p = poles[:, k, None]
-            partial = partial + residues[:, k, None] / (ends - p)
-            # bounds of |f|, |f'| and |f''|/2 on each cell from the
-            # pole's distance to it, less the tolerance
-            outside = np.maximum(np.maximum(lo - p.real, p.real - hi), 0.0)
-            dist = np.sqrt(outside**2 + p.imag**2) - tol[:, None]
-            inv = np.where(dist > 0.0, 1.0 / dist, np.inf)
-            term = weights[:, k, None] * inv
-            f0 = f0 + term
-            term *= inv
-            f1 = f1 + term
-            term *= inv
-            f2 = f2 + term
-        exact = (np.max(np.abs(partial - f_ends), axis=1)
-                 <= _PARTIAL_RTOL * np.max(np.abs(f_ends), axis=1))
-        # y = |f - 1|^2 has y'' = 2|f'|^2 + 2 Re(f'' conj(f - 1))
-        bound = (np.maximum(y_ends[:, :-1], y_ends[:, 1:])
-                 + (hi - lo) ** 2 / 8.0 * (2.0 * f1**2 + 4.0 * f2 * (f0 + 1.0)))
-        best = y_ends.max(axis=1)
-        floor = np.where(exact & np.isfinite(best), (1.0 - _SKIP_RTOL) * best, -np.inf)
+    residues = kappa_ae * bm * upper / gaps.prod(axis=2)
+    weights = np.abs(residues) * (1.0 + _RESIDUE_PAD)
+    for k in range(4):
+        p = poles[:, k, None]
+        partial = partial + residues[:, k, None] / (ends - p)
+        # bounds of |f|, |f'| and |f''|/2 on each cell from the
+        # pole's distance to it, less the tolerance
+        outside = np.maximum(np.maximum(lo - p.real, p.real - hi), 0.0)
+        dist = np.sqrt(outside**2 + p.imag**2) - tol[:, None]
+        inv = np.where(dist > 0.0, 1.0 / dist, np.inf)
+        term = weights[:, k, None] * inv
+        f0 = f0 + term
+        term *= inv
+        f1 = f1 + term
+        term *= inv
+        f2 = f2 + term
+    exact = (np.max(np.abs(partial - f_ends), axis=1)
+             <= _PARTIAL_RTOL * np.max(np.abs(f_ends), axis=1))
+    # y = |f - 1|^2 has y'' = 2|f'|^2 + 2 Re(f'' conj(f - 1))
+    bound = (np.maximum(y_ends[:, :-1], y_ends[:, 1:])
+             + (hi - lo) ** 2 / 8.0 * (2.0 * f1**2 + 4.0 * f2 * (f0 + 1.0)))
+    best = y_ends.max(axis=1)
+    floor = np.where(exact & np.isfinite(best), (1.0 - _SKIP_RTOL) * best, -np.inf)
     keep = ~(bound < floor[:, None])  # a NaN bound keeps its cell
 
     # evaluate the kept cells; first maximum of each cell, then of each

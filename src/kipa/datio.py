@@ -9,8 +9,9 @@ Formats (bit-exact):
 * Config: one JSON document; every physical quantity carries its unit in
   the key name (``kappa_e_hz``), so there is no unit ambiguity. Unknown
   fields are rejected; absence of a physical parameter is an error.
-* Result records: JSON with deterministic field ordering; every numeric
-  output carries a unit string.
+* Result records: one plain JSON document per operation (a dict from
+  :func:`make_record`, rendered by :func:`record_to_json` with sorted
+  keys); every numeric output carries a unit string.
 
 All Hz quantities convert to internal angular units (rad/s) on load by
 an exact factor of 2*pi.
@@ -19,10 +20,9 @@ an exact factor of 2*pi.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -309,38 +309,16 @@ def load_config(path) -> DeviceConfig:
 # Result records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResultRecord:
-    """One operation's outputs with units, plus a digest of its inputs."""
-
-    operation: str
-    inputs_digest: str
-    outputs: dict   # name -> {"value": ..., "unit": str}
-    warnings: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        for name, entry in self.outputs.items():
-            if (
-                not isinstance(entry, dict)
-                or set(entry) != {"value", "unit"}
-                or not isinstance(entry["unit"], str)
-                or not entry["unit"]
-            ):
-                raise ValueError(
-                    f"output {name!r} must carry a value and a non-empty "
-                    "unit string (use '1' for dimensionless)"
-                )
-        object.__setattr__(self, "warnings", tuple(self.warnings))
-
-
 def inputs_digest(inputs: dict) -> str:
     """Stable sha256 digest of an inputs mapping."""
     canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def make_record(operation: str, inputs: dict, outputs: dict, warnings=()) -> ResultRecord:
-    """Build a ResultRecord; every output is a (value, unit) pair."""
+def make_record(operation: str, inputs: dict, outputs: dict) -> dict:
+    """One operation's result record: a JSON document holding the
+    operation, a digest of its inputs and its outputs, where every output
+    is a (value, unit) pair and the unit a non-empty string."""
     packed = {}
     for name, pair in outputs.items():
         try:
@@ -349,53 +327,24 @@ def make_record(operation: str, inputs: dict, outputs: dict, warnings=()) -> Res
             raise ValueError(
                 f"output {name!r} must be a (value, unit) pair, got {pair!r}"
             ) from None
+        if not isinstance(unit, str) or not unit:
+            raise ValueError(
+                f"output {name!r} must carry a value and a non-empty "
+                "unit string (use '1' for dimensionless)"
+            )
         packed[name] = {"value": value, "unit": unit}
-    return ResultRecord(
-        operation=operation,
-        inputs_digest=inputs_digest(inputs),
-        outputs=packed,
-        warnings=tuple(warnings),
-    )
+    return {
+        "operation": operation,
+        "inputs_digest": inputs_digest(inputs),
+        "outputs": packed,
+        "warnings": [],
+    }
 
 
-def record_to_json(record: ResultRecord) -> str:
+def record_to_json(record: dict) -> str:
     """Deterministic JSON rendering (sorted keys, two-space indent).
 
     Raises ValueError on a NaN or infinite value, which RFC 8259 JSON
     cannot represent.
     """
-    doc = {
-        "operation": record.operation,
-        "inputs_digest": record.inputs_digest,
-        "outputs": record.outputs,
-        "warnings": list(record.warnings),
-    }
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def write_result(record: ResultRecord, path_or_stream) -> None:
-    """Write a record as JSON to a path or text stream."""
-    text = record_to_json(record)
-    if isinstance(path_or_stream, io.TextIOBase):
-        path_or_stream.write(text)
-    else:
-        with open(path_or_stream, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def read_result(path) -> ResultRecord:
-    """Read a record written by :func:`write_result`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, line=exc.lineno) from exc
-    for key in ("operation", "inputs_digest", "outputs", "warnings"):
-        if key not in doc:
-            raise ParseError(f"result record missing field {key!r}")
-    return ResultRecord(
-        operation=doc["operation"],
-        inputs_digest=doc["inputs_digest"],
-        outputs=doc["outputs"],
-        warnings=tuple(doc["warnings"]),
-    )
+    return json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"

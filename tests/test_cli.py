@@ -600,6 +600,18 @@ class TestFitCommands:
         assert "Warning" not in result.stderr
         assert result.stderr == f"kipa: {message}\n"
 
+    @pytest.mark.parametrize("scale", [1e-162, 1e-200])
+    def test_underflowing_linewidth_is_named(self, capsys, tmp_path, scale):
+        # (kappa/2)**2 falls below the smallest normal double: D(w) is not
+        # resolved, which is neither a pole nor an overflow
+        f = np.linspace(7e9 - 6e7, 7e9 + 6e7, 401)
+        path = tmp_path / "tiny.csv"
+        save_trace(Trace(x=scale * f, y=reflection_dip(f), kind="reflection"), path)
+        code, out, err = run_cli(capsys, ["fit-resonance", str(path)])
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("kipa: gain denominator underflows (kappa down to ")
+
     def test_fit_noise_rejects_zero_kelvin_row(self, capsys, tmp_path):
         T = np.array([0.0, 0.05, 0.1, 0.2, 0.4, 0.8, 1.6])
         path = tmp_path / "zero_k.csv"

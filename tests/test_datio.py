@@ -1,4 +1,4 @@
-"""Trace CSV, config JSON and result-record round trips and rejections."""
+"""Trace CSV and config JSON round trips and rejections; result records."""
 
 import json
 import math
@@ -18,9 +18,7 @@ from kipa import (
     load_config,
     load_trace,
     make_record,
-    read_result,
     save_trace,
-    write_result,
 )
 from kipa import datio
 from kipa.datio import TRACE_COLUMNS, inputs_digest, record_to_json
@@ -673,17 +671,6 @@ class TestConfig:
 
 
 class TestResultRecords:
-    def test_write_read_round_trip(self, tmp_path):
-        record = make_record(
-            "gain",
-            {"span_hz": 2e8, "points": 1001},
-            {"peak_gain_db": (43.0, "dB"), "g_hz": (1.59e7, "Hz")},
-            warnings=["rwa-violation"],
-        )
-        path = tmp_path / "out.json"
-        write_result(record, path)
-        assert read_result(path) == record
-
     def test_unitless_output_refused(self):
         with pytest.raises(ValueError):
             make_record("gain", {}, {"peak": (43.0, "")})
@@ -703,14 +690,27 @@ class TestResultRecords:
         assert text == record_to_json(record)
         assert text.index('"a"') < text.index('"z"')
 
+    def test_rendered_bytes(self):
+        record = make_record("x", {"b": 1, "a": 2}, {"z": (1.0, "Hz"), "a": (2, "1")})
+        assert record_to_json(record) == """{
+  "inputs_digest": "d3626ac30a87e6f7a6428233b3c68299976865fa5508e4267c5415c76af7a772",
+  "operation": "x",
+  "outputs": {
+    "a": {
+      "unit": "1",
+      "value": 2
+    },
+    "z": {
+      "unit": "Hz",
+      "value": 1.0
+    }
+  },
+  "warnings": []
+}
+"""
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, [1.0, -math.inf]])
     def test_non_finite_output_refused(self, value):
         record = make_record("x", {}, {"y": (value, "Hz")})
         with pytest.raises(ValueError):
             record_to_json(record)
-
-    def test_read_result_missing_field(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text('{"operation": "x"}', encoding="utf-8")
-        with pytest.raises(ParseError):
-            read_result(path)

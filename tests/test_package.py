@@ -20,8 +20,7 @@ EXPORTS = {
         susceptibility""",
     "calfit": """FitResult fit_bias_sweep fit_gain_profile fit_lorentzian
         fit_noise_temperature fit_reflection""",
-    "datio": """DeviceConfig ResultRecord load_config load_trace make_record read_result
-        save_trace write_result""",
+    "datio": "DeviceConfig load_config load_trace make_record save_trace",
     "errors": """IllConditioned KipaError NoPeak NonPhysical NotConverged NotSettled
         ParseError PoleAtFrequency RWAViolation SchemaMismatch SingularAt UnitError
         UnstableFit UnstableRegime""",
