@@ -881,8 +881,6 @@ def pump_regime_map(
     omega_c = (wa + wb) / 2.0
     J = system.J
     kmax = max(system.mode_a.kappa, system.mode_b.kappa)
-    half_span = J + 4.0 * kmax + 2.0 * g
-    w_grid = np.linspace(-half_span, half_span, _MAP_POINTS)
 
     pump = np.asarray(pump_grid, dtype=float)
     if len(pump) == 0:
@@ -893,20 +891,24 @@ def pump_regime_map(
     rates = (system.mode_a.kappa, system.mode_b.kappa, system.mode_a.kappa_e, J, g)
     peak_db = np.full(len(pump), np.nan)
     # rates near 1e150 overflow the kernels to inf or NaN: the precision
-    # check below names that case, so numpy need not warn as well
+    # check below names that case, so numpy need not warn as well, and no
+    # kernel runs without a stable pump point (g**2 overflows from ~1e154)
     with np.errstate(all="ignore"):
-        peak = np.empty(len(stable), dtype=int)
-        for b in range(0, len(stable), _PUMP_BLOCK):
-            i = stable[b:b + _PUMP_BLOCK]
-            peak[b:b + _PUMP_BLOCK] = _grid_peaks(rates, deltas[i], 1j * eigs[i], w_grid)
-        # refine through the peak and its grid neighbours, -inf beyond the ends
-        near = peak[:, None] + np.arange(-1, 2)
-        inside = (near >= 0) & (near < len(w_grid))
-        window = np.full(near.shape, -np.inf)
-        window[inside] = power_db(_signal_a(
-            *rates, np.broadcast_to(deltas[stable, None], near.shape)[inside],
-            w_grid[near[inside]])[0])
-        peak_db[stable] = _refined_peak_height(window)
+        if len(stable):
+            half_span = J + 4.0 * kmax + 2.0 * g
+            w_grid = np.linspace(-half_span, half_span, _MAP_POINTS)
+            peak = np.empty(len(stable), dtype=int)
+            for b in range(0, len(stable), _PUMP_BLOCK):
+                i = stable[b:b + _PUMP_BLOCK]
+                peak[b:b + _PUMP_BLOCK] = _grid_peaks(rates, deltas[i], 1j * eigs[i], w_grid)
+            # refine through the peak and its grid neighbours, -inf beyond the ends
+            near = peak[:, None] + np.arange(-1, 2)
+            inside = (near >= 0) & (near < len(w_grid))
+            window = np.full(near.shape, -np.inf)
+            window[inside] = power_db(_signal_a(
+                *rates, np.broadcast_to(deltas[stable, None], near.shape)[inside],
+                w_grid[near[inside]])[0])
+            peak_db[stable] = _refined_peak_height(window)
 
     finite = np.isfinite(peak_db)
     if not finite.any():

@@ -50,11 +50,23 @@ def _finite(text: str) -> float:
     return value
 
 
-def _positive(text: str) -> float:
+def _hz(text: str) -> float:
+    """A frequency [Hz] that stays finite in rad/s as well."""
     value = _finite(text)
+    if not math.isfinite(hz_to_angular(value)):
+        raise argparse.ArgumentTypeError(f"must stay finite in rad/s, got {value} Hz")
+    return value
+
+
+def _positive(text: str, finite=_finite) -> float:
+    value = finite(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
+
+
+def _positive_hz(text: str) -> float:
+    return _positive(text, _hz)
 
 
 def _fraction(text: str) -> float:
@@ -109,7 +121,7 @@ def _print_record(args, outputs) -> None:
         for key, value in sorted(vars(args).items())
         if not key.startswith("_") and key != "func" and value is not None
     }
-    record = datio.make_record(args._command, inputs, outputs)
+    record = datio.make_record(args.command, inputs, outputs)
     try:
         text = datio.record_to_json(record)
     except ValueError as exc:  # NaN or infinity: a numeric failure, not bad input
@@ -365,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="device config JSON")
 
     def add_g(p):
-        p.add_argument("--g-hz", type=_positive, default=None,
+        p.add_argument("--g-hz", type=_positive_hz, default=None,
                        help="pump rate g in Hz")
         p.add_argument("--g-over-threshold", type=_fraction, default=None,
                        help="g as a fraction of the oscillation threshold")
@@ -373,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gain", help="single-mode gain spectrum")
     add_config(p)
     add_g(p)
-    p.add_argument("--span-hz", type=_positive, default=2e8)
+    p.add_argument("--span-hz", type=_positive_hz, default=2e8)
     p.add_argument("--points", type=_points, default=1001)
-    p.add_argument("--delta-hz", type=_finite, default=0.0,
+    p.add_argument("--delta-hz", type=_hz, default=0.0,
                    help="mode detuning from half the pump, Hz")
     p.add_argument("--phi-rad", type=_finite, default=0.0)
     p.add_argument("--out", default=None, help="CSV output path")
@@ -392,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                                            "anticrossing")
     add_config(p)
     add_g(p)
-    p.add_argument("--span-hz", type=_positive, default=None)
+    p.add_argument("--span-hz", type=_positive_hz, default=None)
     p.add_argument("--points", type=_points, default=2001)
     p.add_argument("--phi-rad", type=_finite, default=0.0)
     p.add_argument("--out", default=None)
@@ -401,18 +413,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regime-map", help="pump-frequency regime map")
     add_config(p)
     add_g(p)
-    p.add_argument("--pump-span-hz", type=_positive, default=None)
+    p.add_argument("--pump-span-hz", type=_positive_hz, default=None)
     p.add_argument("--pump-points", type=_points, default=801)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_regime_map)
 
     p = sub.add_parser("stability", help="stability margins")
     add_config(p)
-    p.add_argument("--g-hz", type=_positive, default=None)
+    p.add_argument("--g-hz", type=_positive_hz, default=None)
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("noise", help="added-noise quanta and output PSD")
-    p.add_argument("--f-hz", type=_positive, required=True)
+    p.add_argument("--f-hz", type=_positive_hz, required=True)
     p.add_argument("--eta", type=_finite, required=True)
     p.add_argument("--g-k", type=_finite, required=True, help="parametric gain, linear")
     p.add_argument("--g-h", type=_finite, required=True, help="chain gain, linear")
@@ -431,12 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-gain", help="fit a gain profile")
     p.add_argument("trace")
-    p.add_argument("--kappa-hint-hz", type=_positive, default=None)
+    p.add_argument("--kappa-hint-hz", type=_positive_hz, default=None)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("fit-noise", help="fit noise PSD vs temperature")
     p.add_argument("trace")
-    p.add_argument("--f-hz", type=_positive, required=True)
+    p.add_argument("--f-hz", type=_positive_hz, required=True)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("gbp", help="gain-bandwidth product of a gain trace")
@@ -462,7 +474,6 @@ def main(argv=None) -> int:
         return 2
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._command = args.command
     try:
         if getattr(args, "config", None) is not None:
             args._config = datio.load_config(args.config)

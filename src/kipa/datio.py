@@ -3,9 +3,10 @@
 Formats (bit-exact):
 
 * Trace CSV: first line ``# kind=<kind>``, then a column header, then
-  rows. UTF-8, LF line endings, ``.`` decimal separator. Columns per kind:
-  reflection ``freq_hz,re,im``; gain_db ``freq_hz,gain_db``; noise_psd
-  ``temp_k,psd_w_per_hz``; bias_shift ``idc_a,freq_hz``.
+  rows; blank body lines are skipped. UTF-8, LF line endings, ``.``
+  decimal separator. Columns per kind: reflection ``freq_hz,re,im``;
+  gain_db ``freq_hz,gain_db``; noise_psd ``temp_k,psd_w_per_hz``;
+  bias_shift ``idc_a,freq_hz``.
 * Config: one JSON document; every physical quantity carries its unit in
   the key name (``kappa_e_hz``), so there is no unit ambiguity. Unknown
   fields are rejected; absence of a physical parameter is an error.
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import ParseError, SchemaMismatch, UnitError
 from .params import (
+    TRACE_COLUMNS,
     CoupledSystem,
     GridOrderError,
     KineticFilm,
@@ -36,13 +38,6 @@ from .params import (
     Trace,
     hz_to_angular,
 )
-
-TRACE_COLUMNS = {
-    "reflection": ("freq_hz", "re", "im"),
-    "gain_db": ("freq_hz", "gain_db"),
-    "noise_psd": ("temp_k", "psd_w_per_hz"),
-    "bias_shift": ("idc_a", "freq_hz"),
-}
 
 
 def load_trace(path, kind: str) -> Trace:
@@ -68,73 +63,58 @@ def load_trace(path, kind: str) -> Trace:
         raise SchemaMismatch(
             f"column header must be {','.join(columns)!r} for kind={kind}"
         )
-    table = _parse_body(lines[2:], len(columns))
-    if table is not None:
-        y = table[:, 1]
-        if kind == "reflection":  # re, im pairs as complex, bit for bit
-            y = np.ascontiguousarray(table[:, 1:]).view(complex)[:, 0]
-        try:
-            return Trace(x=table[:, 0], y=y, kind=kind)
-        except ValueError:
-            pass  # not finite or out of order: the loop below names the line
-    xs: list[float] = []
-    ys: list = []
-    rows: list[int] = []  # file line of each kept row
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(columns):
-            raise ParseError(
-                f"expected {len(columns)} columns, got {len(parts)}", line=lineno
-            )
-        try:
-            values = [float(part) for part in parts]
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-        if not all(map(math.isfinite, values)):
-            raise ParseError(f"non-finite value in row {line!r}", line=lineno)
-        xs.append(values[0])
-        ys.append(complex(values[1], values[2]) if kind == "reflection" else values[1])
-        rows.append(lineno)
-    if not xs:
+    # the file line of each data row: blank body lines are skipped
+    rows = [n for n in range(3, len(lines) + 1) if lines[n - 1].strip()]
+    if not rows:
         raise ParseError("trace file has no data rows", line=3)
+    width = len(columns)
+    table = np.empty((len(rows), width))
+    for start in range(0, len(rows), _PARSE_ROWS):
+        numbers = rows[start:start + _PARSE_ROWS]
+        chunk = [lines[n - 1] for n in numbers]
+        try:  # numpy applies float() to each field, so _check_row names the fault
+            if any(line.count(",") != width - 1 for line in chunk):
+                raise ValueError("field count")
+            values = np.array(",".join(chunk).split(","), dtype=float).reshape(-1, width)
+            if not np.isfinite(values).all():
+                raise ValueError("non-finite value")
+        except ValueError:
+            for n, line in zip(numbers, chunk):  # name the first faulty line
+                _check_row(line, width, n)
+            raise
+        table[start:start + len(chunk)] = values
+    y = table[:, 1]
+    if kind == "reflection":  # re, im pairs as complex, bit for bit
+        y = np.ascontiguousarray(table[:, 1:]).view(complex)[:, 0]
     try:
-        return Trace(x=xs, y=ys, kind=kind)
+        return Trace(x=table[:, 0], y=y, kind=kind)
     except GridOrderError as exc:
         i = exc.index
         raise SchemaMismatch(
-            f"{columns[0]} must be strictly increasing, got {xs[i]!r} after "
-            f"{xs[i - 1]!r} on line {rows[i - 1]}",
+            f"{columns[0]} must be strictly increasing, got {table[i, 0].item()!r} "
+            f"after {table[i - 1, 0].item()!r} on line {rows[i - 1]}",
             line=rows[i],
         ) from exc
-    except ValueError as exc:
-        raise SchemaMismatch(str(exc)) from exc
 
 
-# rows per numpy parse call in _parse_body: bounds the transient field
+# rows per numpy parse call in load_trace: bounds the transient field
 # strings to a few hundred kB (one call over an 8001-row reflection body
 # raised load_trace's tracemalloc peak from 1.9 to 3.0 MB; chunked, 1.4 MB)
 _PARSE_ROWS = 1024
 
 
-def _parse_body(body: list[str], width: int):
-    """The rows of a trace body as one (rows, width) float array, parsed
-    _PARSE_ROWS lines per numpy call (which applies ``float()`` to each
-    field); None when a line is blank or has another field count, or a
-    field does not parse. :func:`load_trace` then reads the body line by
-    line, which reports the fault with its line."""
-    if not body or any(line.count(",") != width - 1 for line in body):
-        return None
-    table = np.empty((len(body), width))
+def _check_row(line: str, width: int, lineno: int) -> None:
+    """Raise the ParseError for a trace data row with a field count other
+    than ``width``, a field ``float()`` rejects or a value not finite."""
+    parts = line.split(",")
+    if len(parts) != width:
+        raise ParseError(f"expected {width} columns, got {len(parts)}", line=lineno)
     try:
-        for start in range(0, len(body), _PARSE_ROWS):
-            rows = body[start:start + _PARSE_ROWS]
-            table[start:start + len(rows)] = np.array(
-                ",".join(rows).split(","), dtype=float).reshape(-1, width)
-    except ValueError:
-        return None
-    return table
+        values = [float(part) for part in parts]
+    except ValueError as exc:
+        raise ParseError(str(exc), line=lineno) from exc
+    if not all(map(math.isfinite, values)):
+        raise ParseError(f"non-finite value in row {line!r}", line=lineno)
 
 
 def save_trace(trace: Trace, path) -> None:

@@ -203,10 +203,6 @@ class TimeDomainRun:
                 f"settle_time must be >= 10/margin = {10.0 / stab.margin:g} s"
             )
 
-    @property
-    def margin(self) -> float:
-        return ampcore.stability_single(self.res, self.g).margin
-
 
 def make_run(
     res: ResonatorParams,

@@ -231,7 +231,13 @@ class ComplexSpectrum:
         return power_db(self.power)
 
 
-TRACE_KINDS = ("reflection", "gain_db", "noise_psd", "bias_shift")
+# trace kind -> its CSV columns, x first
+TRACE_COLUMNS = {
+    "reflection": ("freq_hz", "re", "im"),
+    "gain_db": ("freq_hz", "gain_db"),
+    "noise_psd": ("temp_k", "psd_w_per_hz"),
+    "bias_shift": ("idc_a", "freq_hz"),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +256,7 @@ class Trace:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in TRACE_KINDS:
+        if self.kind not in TRACE_COLUMNS:
             raise ValueError(f"unknown trace kind {self.kind!r}")
         if self.kind != "reflection" and np.iscomplexobj(np.asarray(self.y)):
             raise ValueError(f"kind={self.kind} requires real y values")

@@ -931,6 +931,40 @@ def test_subcommand_raises_no_numpy_warning(monkeypatch, smoke_files, argv):
     json.loads(result.stdout)
 
 
+# every Hz flag at a value whose 2*pi multiple overflows a double
+HUGE_HZ_FLAGS = [
+    "regime-map --config {d}/dev.json --pump-span-hz 1e308",
+    "regime-map --config {d}/dev.json --g-hz 1e308",
+    "gain --config {d}/dev.json --span-hz 1e308",
+    "gain --config {d}/dev.json --delta-hz 1e308",
+    "gain --config {d}/dev.json --delta-hz=-1e308",
+    "double-gain --config {d}/dev.json --span-hz 1e308",
+    "stability --config {d}/dev.json --g-hz 1e308",
+    "noise --f-hz 1e308 --eta 0.9 --g-k 1000 --g-h 1e6 --n-h 10 --t-k 0.1 --t-dev-k 0.1",
+    "fit-gain {d}/gain.csv --kappa-hint-hz 1e308",
+    "fit-noise {d}/noise.csv --f-hz 1e308",
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_HZ_FLAGS)
+def test_hz_flag_overflowing_in_rad_per_s_is_validation_error(smoke_files, argv):
+    result = run_process(argv.format(d=smoke_files).split())
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+    assert re.search(r"must stay finite in rad/s, got -?1e\+308 Hz\n$", result.stderr)
+
+
+@pytest.mark.parametrize("g_hz", ["3e153", "1e307"])
+def test_regime_map_names_a_pump_rate_too_large_to_resolve(smoke_files, g_hz):
+    """No pump point is stable: no gain kernel runs, so neither g**2 nor a
+    numpy overflow reaches stderr, only the precision-loss line."""
+    result = run_process(["regime-map", "--config", f"{smoke_files}/dev.json",
+                          "--g-hz", g_hz])
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("kipa: eigenvalue precision lost")
+    assert result.stderr.count("\n") == 1
+
+
 # a -c wrapper around runpy: ``python -m kipa`` that prints the kipa
 # modules loaded at exit to stderr, where a successful call writes nothing
 MODULE_PROBE = """import runpy, sys
