@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -365,8 +366,19 @@ def cmd_oracle_check(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads a negative number in exponent notation
+    (``--delta-hz -1e6``) as a flag value; argparse before Python 3.13 takes
+    only ``-1000000`` or ``-.5`` as numbers and ``-1e6`` as an option.
+    Subcommand parsers are built of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kipa",
         description="Kinetic-inductance parametric amplifier modeling and "
                     "calibration toolkit",

@@ -6,8 +6,9 @@ Two routes, both free of the closed forms:
   directly from the linear equations of motion (the seeded sweep
   :func:`transfer_equivalence` draws each field of all its working points
   as one array and solves them as one stack), and
-* a time-domain fixed-step integration of the classical (mean-field)
-  equation of motion, demodulated in steady state.
+* the fixed-step RK4 recurrence on the classical (mean-field) equation of
+  motion, solved in closed form and demodulated in steady state: memory
+  O(window steps), time O(window steps + log settle steps).
 
 State ordering is [a, a+] for one mode and [a, b, a+, b+] for two; input
 ordering pairs each mode's extrinsic and intrinsic ports, annihilation
@@ -251,72 +252,21 @@ class TimeDomainGain:
 def _steady_output(run: TimeDomainRun, amp: complex) -> complex:
     """Demodulated steady-state output for one coherent drive amplitude.
 
-    Fixed-step RK4 on the mean-field equation of motion
-
-        da/dt = -(i delta + k/2) a - i g e^{i phi_p} a* + sqrt(k_e) s_in
-
-    with s_in = amp*exp(-i w_d t). The settle window is discarded, then
-    s_out = sqrt(k_e) a - s_in is projected onto exp(+-i w_d t) by
-    trapezoid demodulation on a step grid commensurate with the drive
-    period (integer periods, so the projection error is negligible next
-    to the integrator's O(h^4)). Returns the complex pair
-    (signal component at w_d, conjugate component at -w_d).
+    The fixed-step RK4 recurrence, solved in closed form by
+    :func:`_rk4_window` in O(n_window) memory and O(n_window + log
+    n_settle) time, gives the window's output s_out = sqrt(k_e) a - s_in.
+    It is projected onto exp(+-i w_d t) by trapezoid demodulation on a
+    step grid commensurate with the drive period (integer periods, so the
+    projection error is negligible next to the integrator's O(h^4)).
+    Returns the complex pair (signal component at w_d, conjugate component
+    at -w_d).
 
     Raises NotSettled when either demodulated mean drifts by more than
     0.1% between the two halves of the sample window.
     """
-    res, g = run.res, run.g
     wd = run.drive_freq
-    sqrt_ke = math.sqrt(res.kappa_e)
-    # da/dt = decay*a + pump*conj(a) + drive: the a row of the mode's drift
-    decay, pump = _single_drift(res.kappa, g, run.delta, run.phi_p)[0].tolist()
-
-    # step commensurate with the drive period; even number of whole
-    # periods in the sample window so the half-window check is unbiased
-    if wd != 0.0:
-        period = 2.0 * math.pi / abs(wd)
-        h = period / math.ceil(period / run.step)
-        steps_per_period = round(period / h)
-        n_periods = max(2, math.ceil(run.sample_time / period))
-        n_periods += n_periods % 2
-        n_window = n_periods * steps_per_period
-    else:
-        h = run.step
-        n_window = max(4, math.ceil(run.sample_time / h))
-        n_window += n_window % 2
-    n_settle = math.ceil(run.settle_time / h)
-
-    # RK4 with drive = sqrt_ke*amp*exp(-i wd t), inlined; each drive phasor
-    # is computed once and reused (t + h of one step is the t of the next,
-    # and the output sample at t uses it too)
-    rot = -1j * wd
-    h2, h6 = h / 2.0, h / 6.0
-    n_total = n_settle + n_window
-    s_out = np.empty(n_window + 1, dtype=complex)
-    times = np.empty(n_window + 1)
-    a = 0.0 + 0.0j
-    t = 0.0
-    s_in = amp * cmath.exp(rot * t)
-    drive = sqrt_ke * s_in
-    for i in range(n_total + 1):
-        if i >= n_settle:
-            s_out[i - n_settle] = sqrt_ke * a - s_in
-            times[i - n_settle] = t
-            if i == n_total:
-                break
-        drive_mid = sqrt_ke * (amp * cmath.exp(rot * (t + h2)))
-        s_in_next = amp * cmath.exp(rot * (t + h))
-        drive_next = sqrt_ke * s_in_next
-        k1 = decay * a + pump * a.conjugate() + drive
-        b = a + h2 * k1
-        k2 = decay * b + pump * b.conjugate() + drive_mid
-        b = a + h2 * k2
-        k3 = decay * b + pump * b.conjugate() + drive_mid
-        b = a + h * k3
-        k4 = decay * b + pump * b.conjugate() + drive_next
-        a = a + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        s_in, drive = s_in_next, drive_next
+    times, s_out = _rk4_window(run, amp)
+    n_window = len(s_out) - 1
 
     def demod(sign: float, lo: int, hi: int) -> complex:
         # uniform-grid trapezoid over whole periods: spectrally accurate
@@ -342,6 +292,84 @@ def _steady_output(run: TimeDomainRun, amp: complex) -> complex:
     if wd == 0.0:
         return results[0][0]
     return results[0][0], results[1][0]
+
+
+def _rk4_window(run: TimeDomainRun, amp: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times t_n = n h and output s_out = sqrt(k_e) a - s_in over the
+    sample window, from the fixed-step RK4 recurrence solved in closed form.
+
+    The mean-field equation of motion
+
+        da/dt = -(i delta + k/2) a - i g e^{i phi_p} a* + sqrt(k_e) s_in,
+
+    with s_in = amp*exp(-i w_d t) and a(0) = 0, reads dx/dt = M x + f(t)
+    on x = [a, a*], M the mode's drift. On a linear system one RK4 step of
+    size h is exactly
+
+        x_{n+1} = P x_n + Q0 f(t_n) + Qm f(t_n + h/2) + Q1 f(t_n + h),
+
+    with A = hM, P = I + A + A^2/2 + A^3/6 + A^4/24 (the RK4 stability
+    polynomial), Q0 = h/6 (I + A + A^2/2 + A^3/4), Qm = h/6 (4I + 2A + A^2/2)
+    and Q1 = h/6 I. The step's drive is F z^n + G conj(z)^n with
+    z = exp(-i w_d h), so
+
+        x_n = P^n (-X - Y) + X z^n + Y conj(z)^n,
+        (z I - P) X = F,  (conj(z) I - P) Y = G.
+
+    Only the window n_settle <= n <= n_settle + n_window is built:
+    P^n_settle by repeated squaring and P^j over the window by doubling,
+    so memory is O(n_window) and time O(n_window + log n_settle).
+    """
+    wd = run.drive_freq
+    sqrt_ke = math.sqrt(run.res.kappa_e)
+
+    # step commensurate with the drive period; even number of whole
+    # periods in the sample window so the half-window check is unbiased
+    if wd != 0.0:
+        period = 2.0 * math.pi / abs(wd)
+        h = period / math.ceil(period / run.step)
+        steps_per_period = round(period / h)
+        n_periods = max(2, math.ceil(run.sample_time / period))
+        n_periods += n_periods % 2
+        n_window = n_periods * steps_per_period
+    else:
+        h = run.step
+        n_window = max(4, math.ceil(run.sample_time / h))
+        n_window += n_window % 2
+    n_settle = math.ceil(run.settle_time / h)
+
+    eye = np.eye(2)
+    A = h * _single_drift(run.res.kappa, run.g, run.delta, run.phi_p)
+    P = eye + A @ (eye + A @ (eye + A @ (eye + A / 4.0) / 3.0) / 2.0)
+    q0 = h / 6.0 * (eye + A @ (eye + A @ (eye + A / 2.0) / 2.0))
+    qm = h / 6.0 * (4.0 * eye + A @ (2.0 * eye + A / 2.0))
+    q1 = h / 6.0 * eye
+    z, z_mid = cmath.exp(-1j * wd * h), cmath.exp(-0.5j * wd * h)
+    # f(t) = c e^{-i wd t} on the a row plus its conjugate on the a* row
+    c = sqrt_ke * amp
+    F = c * (q0 + z_mid * qm + z * q1)[:, 0]
+    G = c.conjugate() * (q0 + z_mid.conjugate() * qm + z.conjugate() * q1)[:, 1]
+    X, Y = np.linalg.solve(np.array([z * eye - P, z.conjugate() * eye - P]),
+                           np.array([F, G])[..., None])[..., 0]
+
+    times = np.arange(n_settle, n_settle + n_window + 1) * h
+    phase = np.exp(-1j * wd * times)
+    transient = _orbit(P, np.linalg.matrix_power(P, n_settle) @ -(X + Y), n_window + 1)
+    a = transient[:, 0] + X[0] * phase + Y[0] * phase.conj()
+    return times, sqrt_ke * a - amp * phase
+
+
+def _orbit(P: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
+    """Rows P^j v for j = 0 .. count - 1, by doubling: once m rows are
+    filled, the first m rows times P^m give the next m."""
+    rows = np.empty((count, len(v)), dtype=complex)
+    rows[0] = v
+    m, power = 1, P
+    while m < count:
+        k = min(m, count - m)
+        np.matmul(rows[:k], power.T, out=rows[m : m + k])
+        m, power = m + k, power @ power
+    return rows
 
 
 def time_domain_gain(run: TimeDomainRun) -> TimeDomainGain:

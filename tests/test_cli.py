@@ -954,6 +954,49 @@ def test_hz_flag_overflowing_in_rad_per_s_is_validation_error(smoke_files, argv)
     assert re.search(r"must stay finite in rad/s, got -?1e\+308 Hz\n$", result.stderr)
 
 
+NOISE_FLAGS = {"--f-hz": "7.155e9", "--eta": "0.9", "--g-k": "1000", "--g-h": "1e6",
+               "--n-h": "10", "--t-k": "0.1", "--t-dev-k": "0.1"}
+
+
+def noise_argv(flag):
+    """The noise command with every flag but ``flag``."""
+    return ["noise"] + [part for name, value in NOISE_FLAGS.items() if name != flag
+                        for part in (name, value)]
+
+
+# every flag that takes a signed number, with a negative value in exponent
+# notation, and the argv it is given on
+SIGNED_FLAGS = [
+    ("--delta-hz", "-1e6", ["gain", "--config", "{d}/dev.json", "--points", "11"]),
+    ("--delta-hz", "-2.5E+6", ["gain", "--config", "{d}/dev.json", "--points", "11"]),
+    ("--phi-rad", "-1e-3", ["gain", "--config", "{d}/dev.json", "--points", "11"]),
+    ("--phi-rad", "-.5e1", ["double-gain", "--config", "{d}/dev.json", "--points", "11"]),
+    *((flag, "-1e-3", noise_argv(flag)) for flag in NOISE_FLAGS if flag != "--f-hz"),
+    ("--seed", "-1e6", ["oracle-check", "--draws", "3"]),
+]
+
+
+@pytest.mark.parametrize("flag, value, argv", SIGNED_FLAGS,
+                         ids=[f"{argv[0]}{flag}{value}" for flag, value, argv in SIGNED_FLAGS])
+def test_negative_exponent_value_is_read_as_the_flag_value(capsys, smoke_files, flag,
+                                                           value, argv):
+    """``--flag -1e6`` gives the stdout, stderr and exit code of
+    ``--flag=-1e6``: the value is not taken for an option."""
+    argv = [part.format(d=smoke_files) for part in argv]
+
+    def outcome(args):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    spaced = outcome(argv + [flag, value])
+    assert spaced == outcome(argv + [f"{flag}={value}"])
+    assert "expected one argument" not in spaced[2]
+
+
 @pytest.mark.parametrize("g_hz", ["3e153", "1e307"])
 def test_regime_map_names_a_pump_rate_too_large_to_resolve(smoke_files, g_hz):
     """No pump point is stable: no gain kernel runs, so neither g**2 nor a

@@ -1,13 +1,18 @@
 """Transfer-matrix and time-domain verification machinery."""
 
+import cmath
+import functools
 import math
+import time
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kipa import oracle
 from kipa import (
     CoupledSystem,
     NotSettled,
@@ -439,21 +444,212 @@ class TestTimeDomain:
 
 
 class TestRK4Pin:
-    """Exact gains of two fixed runs, so a rewrite of the integration loop
-    must reproduce the recurrence step for step."""
+    """Exact gains of two fixed runs, so any change to the RK4 recurrence
+    or to its closed-form solution fails. The values are those of the
+    closed form; the former step loop, which accumulated t += h, gave
+    1.251547836773969, 0.5514193373288749, 2.677869820232005 and
+    2.462485204939851 (within 2e-12 relative)."""
 
     def test_detuned_probe(self):
         res = make_res(eta=0.85)
         k = res.kappa
         result = time_domain_gain(
             make_run(res, 0.35 * k, delta=0.1 * k, phi_p=0.7, drive_freq=0.4 * k))
-        assert repr(result.signal_gain) == "1.251547836773969"
-        assert repr(result.idler_gain) == "0.5514193373288749"
+        assert repr(result.signal_gain) == "1.251547836773174"
+        assert repr(result.idler_gain) == "0.5514193373279318"
 
     def test_resonant_probe_two_quadratures(self):
         res = make_res(eta=0.85)
         k = res.kappa
         result = time_domain_gain(
             make_run(res, 0.3 * k, delta=-0.05 * k, phi_p=1.1, drive_freq=0.0))
-        assert repr(result.signal_gain) == "2.677869820232005"
-        assert repr(result.idler_gain) == "2.462485204939851"
+        assert repr(result.signal_gain) == "2.677869820231959"
+        assert repr(result.idler_gain) == "2.4624852049398114"
+
+
+@functools.lru_cache(maxsize=4)
+def reference_window(run, amp):
+    """The former step loop of ``oracle._steady_output``: RK4 on the
+    mean-field equation, one step at a time from a = 0, with t += h
+    accumulated. Returns the window's (times, s_out); cached, so a test
+    that checks both the gain and the trajectory of a run loops once."""
+    res, g = run.res, run.g
+    wd = run.drive_freq
+    sqrt_ke = math.sqrt(res.kappa_e)
+    decay, pump = oracle._single_drift(res.kappa, g, run.delta, run.phi_p)[0].tolist()
+    if wd != 0.0:
+        period = 2.0 * math.pi / abs(wd)
+        h = period / math.ceil(period / run.step)
+        steps_per_period = round(period / h)
+        n_periods = max(2, math.ceil(run.sample_time / period))
+        n_periods += n_periods % 2
+        n_window = n_periods * steps_per_period
+    else:
+        h = run.step
+        n_window = max(4, math.ceil(run.sample_time / h))
+        n_window += n_window % 2
+    n_settle = math.ceil(run.settle_time / h)
+
+    rot = -1j * wd
+    h2, h6 = h / 2.0, h / 6.0
+    n_total = n_settle + n_window
+    s_out = np.empty(n_window + 1, dtype=complex)
+    times = np.empty(n_window + 1)
+    a = 0.0 + 0.0j
+    t = 0.0
+    s_in = amp * cmath.exp(rot * t)
+    drive = sqrt_ke * s_in
+    for i in range(n_total + 1):
+        if i >= n_settle:
+            s_out[i - n_settle] = sqrt_ke * a - s_in
+            times[i - n_settle] = t
+            if i == n_total:
+                break
+        drive_mid = sqrt_ke * (amp * cmath.exp(rot * (t + h2)))
+        s_in_next = amp * cmath.exp(rot * (t + h))
+        drive_next = sqrt_ke * s_in_next
+        k1 = decay * a + pump * a.conjugate() + drive
+        b = a + h2 * k1
+        k2 = decay * b + pump * b.conjugate() + drive_mid
+        b = a + h2 * k2
+        k3 = decay * b + pump * b.conjugate() + drive_mid
+        b = a + h * k3
+        k4 = decay * b + pump * b.conjugate() + drive_next
+        a = a + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        s_in, drive = s_in_next, drive_next
+    return times, s_out
+
+
+def reference_steady_output(run, amp, demodulate=oracle._steady_output):
+    """``oracle._steady_output`` demodulating the step loop's window."""
+    with mock.patch.object(oracle, "_rk4_window", reference_window):
+        return demodulate(run, amp)
+
+
+def reference_gain(run):
+    """``time_domain_gain`` on the step loop."""
+    with mock.patch.object(oracle, "_steady_output", reference_steady_output):
+        return time_domain_gain(run)
+
+
+def unchecked_run(**fields):
+    """TimeDomainRun built without validation (any settle time)."""
+    run = object.__new__(TimeDomainRun)
+    for name, value in fields.items():
+        object.__setattr__(run, name, value)
+    return run
+
+
+def design_sweep_runs(seed, count):
+    """RK4 runs drawn like the design_sweep benchmark's: kappa 3-10 MHz,
+    eta 0.85-0.95, g 0.4-0.7 of kappa/2, |delta| <= 0.3 kappa and a probe
+    offset of 0.3-0.8 kappa."""
+    rng = SplitMix64(seed)
+    runs = []
+    for _ in range(count):
+        kappa = 2 * math.pi * 10 ** rng.uniform(math.log10(3e6), 7.0)
+        res = make_res(eta=rng.uniform(0.85, 0.95), kappa=kappa)
+        runs.append(make_run(res, rng.uniform(0.4, 0.7) * kappa / 2,
+                             delta=rng.uniform(-0.3, 0.3) * kappa,
+                             phi_p=rng.uniform(0.0, 2 * math.pi),
+                             drive_freq=rng.uniform(0.3, 0.8) * kappa))
+    return runs
+
+
+def fixed_runs():
+    res = make_res(eta=0.9)
+    k = res.kappa
+    return [
+        make_run(res, 0.3 * k, delta=0.1 * k, phi_p=0.4, drive_freq=0.0),
+        make_run(res, 0.2 * k, delta=-0.4 * k, phi_p=2.0, drive_freq=0.0,
+                 drive_amp=0.3 - 2j),
+        make_run(res, 0.35 * k, delta=0.2 * k, phi_p=5.0, drive_freq=-0.6 * k),
+        make_run(res, 0.1 * k, delta=-0.2 * k, phi_p=1.0, drive_freq=-1.5 * k),
+        # exceptional point g = |delta|: the drift is one Jordan block
+        make_run(res, 0.3 * k, delta=0.3 * k, phi_p=0.9, drive_freq=0.5 * k),
+        make_run(res, 0.3 * k, delta=-0.3 * k, phi_p=0.0, drive_freq=0.0),
+        # near threshold: 1e5 settle steps
+        make_run(res, 0.98 * k / 2, delta=0.0, phi_p=0.2, drive_freq=0.3 * k),
+    ]
+
+
+def assert_matches_step_loop(run):
+    """The window trajectory within 1e-8 of its maximum (or of the drive
+    amplitude, for a null output that is all cancellation); NotSettled
+    raised by both or by neither; otherwise signal and idler amplitudes
+    within 1e-9 of the output scale."""
+    times, s_out = oracle._rk4_window(run, run.drive_amp)
+    ref_times, ref_s_out = reference_window(run, run.drive_amp)
+    assert np.allclose(times, ref_times, rtol=1e-9, atol=0.0)
+    scale = max(np.max(np.abs(ref_s_out)), abs(run.drive_amp))
+    assert np.max(np.abs(s_out - ref_s_out)) <= 1e-8 * scale
+    try:
+        ref = reference_gain(run)
+    except NotSettled:
+        with pytest.raises(NotSettled):
+            time_domain_gain(run)
+        return
+    got = time_domain_gain(run)
+    scale = max(abs(ref.signal_amp), abs(ref.idler_amp))
+    assert abs(got.signal_amp - ref.signal_amp) <= 1e-9 * scale
+    assert abs(got.idler_amp - ref.idler_amp) <= 1e-9 * scale
+
+
+class TestClosedFormRecurrence:
+    """The closed-form solution of the RK4 recurrence against the step
+    loop it replaced."""
+
+    @pytest.mark.parametrize("run", design_sweep_runs(601, 6) + fixed_runs())
+    def test_matches_step_loop(self, run):
+        assert_matches_step_loop(run)
+
+    # ranges keep each step loop below ~3e4 steps; the pump-off critically
+    # coupled mode has a null output and is NotSettled in both
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(kappa_hz=st.floats(1e5, 1e8), eta=st.floats(0.5, 1.0),
+           g_frac=st.floats(0.0, 0.8), delta=st.floats(-1.0, 1.0),
+           phi_p=st.floats(0.0, 2 * math.pi),
+           drive=st.one_of(st.just(0.0), st.floats(0.3, 1.5), st.floats(-1.5, -0.3)),
+           amp=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3))
+    @example(kappa_hz=1e5, eta=0.5, g_frac=0.0, delta=0.0, phi_p=0.0, drive=0.0, amp=1.0)
+    def test_matches_step_loop_on_drawn_runs(self, kappa_hz, eta, g_frac, delta,
+                                             phi_p, drive, amp):
+        kappa = 2 * math.pi * kappa_hz
+        run = make_run(make_res(eta=eta, kappa=kappa), g_frac * kappa / 2,
+                       delta=delta * kappa, phi_p=phi_p, drive_freq=drive * kappa,
+                       drive_amp=amp)
+        assert_matches_step_loop(run)
+
+    @pytest.mark.parametrize("drive", [0.0, 0.4, -0.7])
+    @pytest.mark.parametrize("settle", [0.3, 3.0, 4.0, 5.0, 6.0, 10.0])
+    def test_not_settled_in_the_same_cases(self, drive, settle):
+        # settle_time in units of 1/margin, below the validated minimum of
+        # 10: the drift check trips between 3 and 6
+        res = make_res(eta=0.9)
+        k = res.kappa
+        g = 0.4 * k
+        assert_matches_step_loop(unchecked_run(
+            res=res, g=g, delta=0.1 * k, phi_p=0.3, drive_freq=drive * k,
+            drive_amp=1.0 + 0.0j, step=1.0 / (50 * k),
+            settle_time=settle / (k / 2 - g), sample_time=20.0 / k))
+
+    def test_repeated_calls_are_bit_identical(self):
+        for run in fixed_runs()[:3]:
+            assert time_domain_gain(run) == time_domain_gain(run)
+
+    def test_near_threshold_run_is_fast_and_within_criterion(self):
+        # margin 1e-4 kappa/2: 2e7 settle steps per quadrature, ~30 s for
+        # the step loop
+        res = make_res(eta=0.9)
+        k = res.kappa
+        g = (1.0 - 1e-4) * k / 2
+        run = make_run(res, g, delta=0.0, phi_p=0.4, drive_freq=0.0)
+        assert math.ceil(run.settle_time / run.step) > 2e7
+        start = time.perf_counter()
+        result = time_domain_gain(run)
+        assert time.perf_counter() - start < 1.0
+        signal, idler = single_mode_gain(res, g, 0.0, 0.4, [0.0])
+        assert result.signal_gain == pytest.approx(abs(signal.values[0]) ** 2, rel=0.01)
+        assert result.idler_gain == pytest.approx(abs(idler.values[0]) ** 2, rel=0.01)
+        assert result.signal_gain > 1e7  # beyond 70 dB
