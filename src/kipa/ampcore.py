@@ -194,18 +194,14 @@ def susceptibility(
     """2x2 susceptibility matrix of the pumped mode at detuning zero.
 
     chi(omega) = [[-i w + k/2,  -i g e^{+i phi_p}],
-                  [ i g e^{-i phi_p},  -i w + k/2]] / ((i w - k/2)^2 - g^2)
+                  [ i g e^{-i phi_p},  -i w + k/2]] / D(omega)
 
-    Raises PoleAtFrequency if evaluated exactly on a real pole (only
-    possible at omega = 0 when g = kappa/2).
+    with D and its refusals from :func:`_single_mode_signal` at eta = 1,
+    delta = 0: NonPhysical where D overflows or underflows, and
+    PoleAtFrequency on a real pole (only at omega = 0 when g = kappa/2).
     """
     k = res.kappa
-    den = (1j * omega - k / 2.0) ** 2 - g**2
-    scale = (k / 2.0) ** 2 + g**2 + omega**2
-    if abs(den) <= _POLE_RTOL * scale:
-        raise PoleAtFrequency(
-            f"susceptibility pole at omega={omega:g} rad/s (g={g:g}, kappa={k:g})"
-        )
+    _, (den,) = _single_mode_signal(k, 1.0, g, 0.0, _grid_terms([omega]))
     num = np.array(
         [
             [-1j * omega + k / 2.0, -1j * g * np.exp(1j * phi_p)],
@@ -243,18 +239,20 @@ def _grid_terms(w):
 def _single_mode_signal(kappa, eta, g, delta, grid):
     """(signal, D): the signal gain factor of :func:`single_mode_gain` on
     the offsets of ``grid`` (from :func:`_grid_terms`) and its denominator
-    D(w); arguments broadcast. Raises NonPhysical where D or its scale
-    overflows, naming the largest rate, or (for scalar rates) where
-    (kappa/2)**2 underflows below the smallest normal double, and
+    D(w); arguments broadcast. Raises NonPhysical where D, its scale or
+    the numerator overflows, naming the largest rate, or (for scalar rates)
+    where (kappa/2)**2 underflows below the smallest normal double, and
     PoleAtFrequency at the first pole; stability is the caller's check.
 
     The scale of D at w is delta**2 + g**2 + kappa**2/4 + w**2, and
-    |D| <= scale. For scalar rates one bound, that sum at max w**2, decides
-    the overflow: if it is finite, no array operation here can overflow.
-    A sample is a pole where |D| <= 1e-12 scale. For |g| < kappa/2 and any
-    real w and delta, |D(w)| >= kappa**2/4 - g**2, because the roots of D
-    lie at -i(kappa/2 +- sqrt(g**2 - delta**2)) or have imaginary part
-    -kappa/2. So the per-sample scan runs only where
+    |D| <= scale. The numerator eta*kappa*(kappa/2 - i(w + delta)), eta <= 1,
+    has |re| + |im| <= kappa (kappa/2 + |delta| + |w|), which also bounds
+    complex division's intermediates. For scalar rates these two bounds at
+    max |w| decide the overflow: if both are finite, no array operation
+    here can overflow. A sample is a pole where |D| <= 1e-12 scale. For
+    |g| < kappa/2 and any real w and delta, |D(w)| >= kappa**2/4 - g**2,
+    because the roots of D lie at -i(kappa/2 +- sqrt(g**2 - delta**2)) or
+    have imaginary part -kappa/2. So the per-sample scan runs only where
     kappa**2/4 - g**2 <= 4e-12 bound: near threshold (or above it), and
     always for array rates, as the oracle passes.
     """
@@ -263,16 +261,18 @@ def _single_mode_signal(kappa, eta, g, delta, grid):
                   or getattr(delta, "ndim", 0))
     try:
         if scalar:  # Python float ** raises OverflowError where numpy gives inf
-            g2, k2 = float(g) ** 2, (float(kappa) / 2.0) ** 2
+            k, d = float(kappa), float(delta)
+            g2, k2 = float(g) ** 2, (k / 2.0) ** 2
             if k2 < _TINY:  # D is not resolved below the smallest normal double
-                raise NonPhysical("gain denominator underflows "
-                                  f"(kappa down to {abs(float(kappa)):g} rad/s)")
-            rates = float(delta) ** 2 + g2 + k2
-            finite = math.isfinite(rates + w2_max)
-        else:  # one scale per sample
+                raise NonPhysical(f"gain denominator underflows (kappa down to {abs(k):g} rad/s)")
+            rates = d**2 + g2 + k2
+            numerator = k * (k / 2.0 + abs(d) + math.sqrt(w2_max))
+            finite = math.isfinite(rates + w2_max) and math.isfinite(numerator)
+        else:  # one scale and one numerator bound per sample
             with np.errstate(over="ignore", invalid="ignore"):
                 scale = delta**2 + g**2 + (kappa / 2.0) ** 2 + w**2
-            finite = np.isfinite(scale).all()
+                numerator = kappa * (kappa / 2.0 + abs(delta) + abs(w))
+            finite = np.isfinite(scale).all() and np.isfinite(numerator).all()
     except OverflowError:
         finite = False
     if not finite:
@@ -343,37 +343,30 @@ def single_mode_gain(
 
 
 def on_resonance_gain(res: ResonatorParams, g: float) -> float:
-    """Degenerate on-resonance power gain, lossless (eta = 1) form:
-
-    G = (2 / (1 - 4 (g/kappa)^2) - 1)^2
-
-    Strictly increasing in g and divergent as g -> kappa/2.
+    """Degenerate on-resonance power gain in the lossless limit: |signal(0)|^2
+    from :func:`_single_mode_signal` at eta = 1, delta = 0, with its
+    refusals. Strictly increasing in |g| and divergent as |g| -> kappa/2.
     """
     _require_stable(stability_single(res, g), g)
-    r2 = (g / res.kappa) ** 2
-    return (2.0 / (1.0 - 4.0 * r2) - 1.0) ** 2
+    (signal,), _ = _single_mode_signal(res.kappa, 1.0, g, 0.0, _grid_terms([0.0]))
+    return float(abs(signal) ** 2)
 
 
 def phase_sensitive_gain(res: ResonatorParams, g: float, delta_phi):
     """Degenerate (signal on resonance, delta = omega = 0) gain versus the
     pump-probe phase difference:
 
-        G(dphi) = |G_S(0) + G_I(0) e^{i dphi}|^2
+        G(dphi) = |S(0) + I(0) e^{i dphi}|^2
 
-    Interference between the signal and idler responses makes the gain
-    2*pi-periodic with amplification/de-amplification extrema pi apart.
-    Accepts a scalar or array of phase differences [rad]. Raises
-    NonPhysical where kappa overflows the gain factors.
+    with S(0), I(0) the signal and idler of :func:`single_mode_gain` at
+    delta = phi_p = 0, which raises as it does. Interference between the
+    signal and idler responses makes the gain 2*pi-periodic with
+    amplification/de-amplification extrema pi apart. Accepts a scalar or
+    array of phase differences [rad].
     """
-    _require_stable(stability_single(res, g), g)
-    k = res.kappa
-    overflow = f"gain denominator overflows (kappa up to {k:g} rad/s)"
-    # |g| < kappa/2, so only kappa can overflow
-    den = _finite(lambda: (k / 2.0) ** 2 - g**2, overflow)
-    gs0 = _finite(lambda: res.eta * k * (k / 2.0) / den - 1.0, overflow)
-    gi0 = -1j * res.eta * k * g / den
+    signal, idler = single_mode_gain(res, g, 0.0, 0.0, [0.0])
     dphi = np.asarray(delta_phi, dtype=float)
-    out = np.abs(gs0 + gi0 * np.exp(1j * dphi)) ** 2
+    out = np.abs(signal.values[0] + idler.values[0] * np.exp(1j * dphi)) ** 2
     return float(out) if out.ndim == 0 else out
 
 

@@ -318,7 +318,8 @@ def _rk4_window(run: TimeDomainRun, amp: complex) -> tuple[np.ndarray, np.ndarra
 
     Only the window n_settle <= n <= n_settle + n_window is built:
     P^n_settle by repeated squaring and P^j over the window by doubling,
-    so memory is O(n_window) and time O(n_window + log n_settle).
+    so memory is O(n_window) and time O(n_window + log n_settle). Raises
+    ValueError where h lies outside RK4's stability region: P^n grows.
     """
     wd = run.drive_freq
     sqrt_ke = math.sqrt(run.res.kappa_e)
@@ -341,6 +342,10 @@ def _rk4_window(run: TimeDomainRun, amp: complex) -> tuple[np.ndarray, np.ndarra
     eye = np.eye(2)
     A = h * _single_drift(run.res.kappa, run.g, run.delta, run.phi_p)
     P = eye + A @ (eye + A @ (eye + A @ (eye + A / 4.0) / 3.0) / 2.0)
+    radius = float(np.max(np.abs(np.linalg.eigvals(P))))
+    if not radius < 1.0:
+        raise ValueError(f"step h={h:g} s is outside the RK4 stability region "
+                         f"(spectral radius {radius:g} of the step polynomial)")
     q0 = h / 6.0 * (eye + A @ (eye + A @ (eye + A / 2.0) / 2.0))
     qm = h / 6.0 * (4.0 * eye + A @ (2.0 * eye + A / 2.0))
     q1 = h / 6.0 * eye

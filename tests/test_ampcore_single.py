@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kipa.oracle as oracle
 from kipa import (
     CoupledSystem,
     KineticFilm,
+    NonPhysical,
     PoleAtFrequency,
     PumpConfig,
     ResonatorParams,
@@ -34,6 +37,73 @@ def make_res(kappa_hz=32e6, eta=1.0, f0=7.155e9):
     return ResonatorParams(omega0=2 * math.pi * f0,
                            kappa_e=eta * kappa,
                            kappa_i=(1.0 - eta) * kappa)
+
+
+def reference_factors(res, g):
+    """Signal and idler at omega = delta = phi_p = 0 in real arithmetic over
+    their own denominator (kappa/2)**2 - g**2."""
+    k = res.kappa
+    den = (k / 2.0) ** 2 - g**2
+    return res.eta * k * (k / 2.0) / den - 1.0, -1j * res.eta * k * g / den
+
+
+def reference_phase_sensitive_gain(res, g, delta_phi):
+    """phase_sensitive_gain on :func:`reference_factors`, without the gain
+    kernel's stability and overflow checks."""
+    gs0, gi0 = reference_factors(res, g)
+    return np.abs(gs0 + gi0 * np.exp(1j * np.asarray(delta_phi, dtype=float))) ** 2
+
+
+def reference_susceptibility(res, g, phi_p, omega):
+    """susceptibility over its own denominator (i w - k/2)**2 - g**2, in
+    Python complex arithmetic and without the gain kernel's checks."""
+    k = res.kappa
+    num = np.array([[-1j * omega + k / 2.0, -1j * g * np.exp(1j * phi_p)],
+                    [1j * g * np.exp(-1j * phi_p), -1j * omega + k / 2.0]])
+    return num / ((1j * omega - k / 2.0) ** 2 - g**2)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(kappa_e_hz=st.floats(1e3, 1e9), kappa_i_hz=st.floats(0.0, 1e9),
+       g_frac=st.floats(-0.999, 0.999), phi_p=st.floats(0.0, 2 * math.pi),
+       omega_frac=st.floats(-3.0, 3.0))
+# critically coupled with the pump off: S(0) = 2 eta - 1 cancels to ~1e-5
+@example(kappa_e_hz=78121.0, kappa_i_hz=78124.0, g_frac=0.0, phi_p=0.0, omega_frac=0.0)
+def test_single_mode_forms_match_own_denominator_references(kappa_e_hz, kappa_i_hz, g_frac,
+                                                            phi_p, omega_frac):
+    # the kernel divides in complex arithmetic, so only the last digits move;
+    # S(0) = eta kappa (kappa/2) / D - 1 carries the rounding of a term near 1
+    res = ResonatorParams(omega0=2 * math.pi * 7e9, kappa_e=2 * math.pi * kappa_e_hz,
+                          kappa_i=2 * math.pi * kappa_i_hz)
+    g = g_frac * res.kappa / 2.0
+    dphi = np.linspace(0.0, 2 * math.pi, 17)
+    gs0, gi0 = reference_factors(res, g)
+    assert np.max(np.abs(phase_sensitive_gain(res, g, dphi)
+                         - reference_phase_sensitive_gain(res, g, dphi))) <= (
+        1e-13 * (1.0 + abs(gs0) + abs(gi0)) ** 2)
+    omega = omega_frac * res.kappa
+    expected = reference_susceptibility(res, g, phi_p, omega)
+    assert np.all(np.abs(susceptibility(res, g, phi_p, omega) - expected)
+                  <= 1e-13 * np.abs(expected))
+
+
+@pytest.mark.parametrize("kappa, message", [
+    (2e-160, "gain denominator underflows (kappa down to 2e-160 rad/s)"),
+    (2e-170, "gain denominator underflows (kappa down to 2e-170 rad/s)"),
+    (2e160, "gain denominator overflows (kappa up to 2e+160 rad/s)"),
+], ids=["2e-160", "2e-170", "2e160"])
+@pytest.mark.parametrize("form", [
+    lambda res, g: single_mode_gain(res, g, 0.0, 0.0, [0.0]),
+    lambda res, g: on_resonance_gain(res, g),
+    lambda res, g: phase_sensitive_gain(res, g, [0.0, 1.0]),
+    lambda res, g: susceptibility(res, g, 0.3, 0.0),
+], ids=["single_mode_gain", "on_resonance_gain", "phase_sensitive_gain",
+        "susceptibility"])
+def test_extreme_kappa_refused_by_the_gain_kernel(kappa, message, form):
+    res = ResonatorParams(omega0=1.0, kappa_e=kappa, kappa_i=0.0)
+    with pytest.raises(NonPhysical) as info:
+        form(res, kappa / 4)
+    assert str(info.value) == message
 
 
 class TestKineticInductance:
@@ -228,7 +298,7 @@ class TestSusceptibility:
 
     def test_pole_at_threshold(self):
         res = make_res()
-        with pytest.raises(PoleAtFrequency):
+        with pytest.raises(PoleAtFrequency, match=r"^gain pole at omega=0 rad/s$"):
             susceptibility(res, res.kappa / 2, 0.0, 0.0)
 
 

@@ -434,11 +434,15 @@ class TestExitCodeRule:
         path = write_device(tmp_path, **fields)
         assert run_cli(capsys, ["gain", "--config", path]) == (3, "", f"kipa: {message}\n")
 
-    def test_overflowing_phase_numerator_is_numeric_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["gain", "phase"])
+    def test_overflowing_numerator_is_numeric_error(self, capsys, tmp_path, command):
         # (kappa/2)**2 fits a double here, kappa * kappa/2 does not
         path = write_device(tmp_path, kappa_e_hz=3.5e153)
-        assert run_cli(capsys, ["phase", "--config", path]) == (
+        assert run_cli(capsys, [command, "--config", path]) == (
             3, "", "kipa: gain denominator overflows (kappa up to 2.19911e+154 rad/s)\n")
+        # while at 3.0e153 kappa * kappa/2 still fits
+        path = write_device(tmp_path, kappa_e_hz=3.0e153)
+        assert run_cli(capsys, [command, "--config", path])[0] == 0
 
     def test_overflowing_gain_denominator_prints_no_warning(self, tmp_path):
         path = write_device(tmp_path, kappa_e_hz=1e300)

@@ -360,9 +360,9 @@ class TestTraceIO:
     @example(case=("noise_psd", "# kind=noise_psd\ntemp_k,psd_w_per_hz\n0.1,1\n0.1,2\n"))
     # one field too many, then one too few: the field count alone would fit
     @example(case=("gain_db", "# kind=gain_db\nfreq_hz,gain_db\n1,2,3\n4\n"))
-    def test_fast_path_matches_line_loop(self, tmp_path_factory, case):
+    def test_load_trace_matches_reference_over_chunk_sizes(self, tmp_path_factory, case):
         kind, text = case
-        path = tmp_path_factory.mktemp("fast") / "trace.csv"
+        path = tmp_path_factory.mktemp("chunks") / "trace.csv"
         path.write_bytes(text.encode("utf-8"))
         expected = load_outcome(reference_load_trace, path, kind)
         for rows in (datio._PARSE_ROWS, 3):  # one parse call, and several

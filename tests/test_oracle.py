@@ -4,6 +4,7 @@ import cmath
 import functools
 import math
 import time
+import warnings
 from dataclasses import dataclass
 from unittest import mock
 
@@ -418,6 +419,18 @@ class TestTimeDomain:
                           drive_freq=0.0, drive_amp=1.0,
                           step=1.0 / (50 * res.kappa),
                           settle_time=5.0 / margin, sample_time=1.0)
+
+    def test_step_outside_rk4_stability_region_rejected(self):
+        # the commensurate step is one drive period: hM has eigenvalues -2pi
+        # and -14.7, where the RK4 polynomial is ~1.5e3
+        res = make_res(kappa=2 * math.pi * 1e6)
+        k = res.kappa
+        run = make_run(res, 0.2 * k, drive_freq=0.3 * k, step=100.0 / k,
+                       settle_time=2e5 / k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="outside the RK4 stability region"):
+                time_domain_gain(run)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
