@@ -116,12 +116,14 @@ def _single_stability(kappa, g) -> SingleModeStability:
 
 
 def stability_double(system: CoupledSystem, g: float) -> DoubleModeStability:
-    """Coupled-system threshold: stable iff |g| < kappa_a*(1 + C0)/2.
+    """Coupled-system threshold: ``stable`` is |g| < kappa_a*(1 + C0)/2.
 
     C0 = 4 J^2/(kappa_a kappa_b) is the cooperativity of the coupling.
-    This is the zero-frequency divergence of the coupled static response;
-    at the anticrossing the finite-frequency pair-oscillation threshold
-    :func:`pair_threshold` can be lower and is then the binding one.
+    This is the zero-frequency divergence of the coupled static response
+    and the only bound checked here, so ``stable`` does not mean that the
+    drift has no growing eigenvalue: at the anticrossing the
+    finite-frequency pair-oscillation threshold :func:`pair_threshold` can
+    be lower, and between the two the pair self-oscillates.
     """
     stab = _double_stability(system.mode_a.kappa, system.mode_b.kappa, system.J, g)
     return DoubleModeStability(**{name: v.item() if np.ndim(v) == 0 else v
@@ -616,18 +618,24 @@ def bare_drift(system: CoupledSystem, g: float, delta_a=0.0, delta_b=0.0,
 def _pair_drift(kappa_a, kappa_b, J, g, delta_a, delta_b, phi_p) -> np.ndarray:
     """:func:`bare_drift` at rate level; every argument may be an array,
     they broadcast, and the result has shape ``(..., 4, 4)``."""
+    shape = np.broadcast_shapes(*map(np.shape, (kappa_a, kappa_b, J, g, delta_a,
+                                                 delta_b, phi_p)))
     # a-row coupling is -gp, a+-row is +conj(-gp); formed on Python complex
     # numbers, as numpy's exp does not match cmath.exp bit for bit
-    gp = np.vectorize(lambda x, p: 1j * x * cmath.exp(1j * p), otypes=[complex])(g, phi_p)
-    rows = [
-        [-(1j * delta_a + kappa_a / 2.0), -1j * J, -gp, 0.0],
-        [-1j * J, -(1j * delta_b + kappa_b / 2.0), 0.0, 0.0],
-        [-np.conj(gp), 0.0, 1j * delta_a - kappa_a / 2.0, 1j * J],
-        [0.0, 0.0, 1j * J, 1j * delta_b - kappa_b / 2.0],
-    ]
-    shape = np.broadcast_shapes(*(np.shape(v) for row in rows for v in row))
-    entries = [[np.broadcast_to(v, shape) for v in row] for row in rows]
-    return np.moveaxis(np.array(entries, dtype=complex), (0, 1), (-2, -1))
+    g, phi_p = np.broadcast_arrays(g, phi_p)
+    gp = np.array([1j * x * cmath.exp(1j * p)
+                   for x, p in zip(g.ravel().tolist(), phi_p.ravel().tolist())],
+                  dtype=complex).reshape(g.shape)
+    drift = np.zeros(shape + (4, 4), dtype=complex)
+    drift[..., 0, 0] = -(1j * delta_a + kappa_a / 2.0)
+    drift[..., 0, 1] = drift[..., 1, 0] = -1j * J
+    drift[..., 0, 2] = -gp
+    drift[..., 1, 1] = -(1j * delta_b + kappa_b / 2.0)
+    drift[..., 2, 0] = -np.conj(gp)
+    drift[..., 2, 2] = 1j * delta_a - kappa_a / 2.0
+    drift[..., 2, 3] = drift[..., 3, 2] = 1j * J
+    drift[..., 3, 3] = 1j * delta_b - kappa_b / 2.0
+    return drift
 
 
 # ---------------------------------------------------------------------------

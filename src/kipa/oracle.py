@@ -249,54 +249,10 @@ class TimeDomainGain:
     idler_amp: complex    # complex idler amplitude ratio, probe-referenced
 
 
-def _steady_output(run: TimeDomainRun, amp: complex) -> complex:
-    """Demodulated steady-state output for one coherent drive amplitude.
-
-    The fixed-step RK4 recurrence, solved in closed form by
-    :func:`_rk4_window` in O(n_window) memory and O(n_window + log
-    n_settle) time, gives the window's output s_out = sqrt(k_e) a - s_in.
-    It is projected onto exp(+-i w_d t) by trapezoid demodulation on a
-    step grid commensurate with the drive period (integer periods, so the
-    projection error is negligible next to the integrator's O(h^4)).
-    Returns the complex pair (signal component at w_d, conjugate component
-    at -w_d).
-
-    Raises NotSettled when either demodulated mean drifts by more than
-    0.1% between the two halves of the sample window.
-    """
-    wd = run.drive_freq
-    times, s_out = _rk4_window(run, amp)
-    n_window = len(s_out) - 1
-
-    def demod(sign: float, lo: int, hi: int) -> complex:
-        # uniform-grid trapezoid over whole periods: spectrally accurate
-        integrand = s_out[lo : hi + 1] * np.exp(sign * 1j * wd * times[lo : hi + 1])
-        total = integrand.sum() - (integrand[0] + integrand[-1]) / 2.0
-        return complex(total / (hi - lo))
-
-    half = n_window // 2
-    signs = (+1.0,) if wd == 0.0 else (+1.0, -1.0)  # projections coincide at wd=0
-    results = [
-        (demod(sign, 0, n_window), demod(sign, 0, half), demod(sign, half, n_window))
-        for sign in signs
-    ]
-    # drift is judged against the overall output scale, so a physically
-    # null component (e.g. the idler with the pump off) cannot trip it
-    ref = max(max(abs(full) for full, _, _ in results), abs(amp) * 1e-9)
-    for full, first, second in results:
-        if abs(second - first) / ref > 1e-3:
-            raise NotSettled(
-                "demodulated amplitude drifts by more than 0.1% across the "
-                "sample window; increase settle_time"
-            )
-    if wd == 0.0:
-        return results[0][0]
-    return results[0][0], results[1][0]
-
-
-def _rk4_window(run: TimeDomainRun, amp: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Sample times t_n = n h and output s_out = sqrt(k_e) a - s_in over the
-    sample window, from the fixed-step RK4 recurrence solved in closed form.
+def _rk4_window(run: TimeDomainRun) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample times t_n = n h over the sample window and the output
+    s_out = sqrt(k_e) a - s_in as its (signal, idler) parts, from the
+    fixed-step RK4 recurrence solved in closed form.
 
     The mean-field equation of motion
 
@@ -311,17 +267,20 @@ def _rk4_window(run: TimeDomainRun, amp: complex) -> tuple[np.ndarray, np.ndarra
     with A = hM, P = I + A + A^2/2 + A^3/6 + A^4/24 (the RK4 stability
     polynomial), Q0 = h/6 (I + A + A^2/2 + A^3/4), Qm = h/6 (4I + 2A + A^2/2)
     and Q1 = h/6 I. The step's drive is F z^n + G conj(z)^n with
-    z = exp(-i w_d h), so
+    z = exp(-i w_d h), so x_n is the sum of the responses to the two
+    drive columns, the signal and the idler:
 
-        x_n = P^n (-X - Y) + X z^n + Y conj(z)^n,
-        (z I - P) X = F,  (conj(z) I - P) Y = G.
+        P^n (-X) + X z^n,        (z I - P) X = F,
+        P^n (-Y) + Y conj(z)^n,  (conj(z) I - P) Y = G.
 
     Only the window n_settle <= n <= n_settle + n_window is built:
-    P^n_settle by repeated squaring and P^j over the window by doubling,
-    so memory is O(n_window) and time O(n_window + log n_settle). Raises
-    ValueError where h lies outside RK4's stability region: P^n grows.
+    P^n_settle by repeated squaring and the a-row of P^j, which both
+    share, over the window by doubling, so memory is O(n_window) and time
+    O(n_window + log n_settle). Raises ValueError where h lies outside
+    RK4's stability region: P^n grows.
     """
     wd = run.drive_freq
+    amp = complex(run.drive_amp)
     sqrt_ke = math.sqrt(run.res.kappa_e)
 
     # step commensurate with the drive period; even number of whole
@@ -359,9 +318,12 @@ def _rk4_window(run: TimeDomainRun, amp: complex) -> tuple[np.ndarray, np.ndarra
 
     times = np.arange(n_settle, n_settle + n_window + 1) * h
     phase = np.exp(-1j * wd * times)
-    transient = _orbit(P, np.linalg.matrix_power(P, n_settle) @ -(X + Y), n_window + 1)
-    a = transient[:, 0] + X[0] * phase + Y[0] * phase.conj()
-    return times, sqrt_ke * a - amp * phase
+    # a-row of P^j times P^n_settle (-X) and P^n_settle (-Y): both transients
+    start = np.linalg.matrix_power(P, n_settle) @ -np.array([X, Y]).T
+    transient = _orbit(P.T, eye[0], n_window + 1) @ start
+    signal = sqrt_ke * (transient[:, 0] + X[0] * phase) - amp * phase
+    idler = sqrt_ke * (transient[:, 1] + Y[0] * phase.conj())
+    return times, signal, idler
 
 
 def _orbit(P: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
@@ -378,37 +340,44 @@ def _orbit(P: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
 
 
 def time_domain_gain(run: TimeDomainRun) -> TimeDomainGain:
-    """Steady-state signal and idler power gains from the classical
-    mean-field response.
+    """Steady-state signal and idler gains from the classical mean-field
+    response.
 
-    For a detuned probe (drive_freq != 0) one run separates the signal
-    (response at the drive frequency) from the idler (response at the
-    mirrored frequency).
+    One solve (:func:`_rk4_window`) gives the window's output split into
+    its signal part, linear in the drive, and its idler part, linear in
+    its conjugate, so every probe offset takes one run, the resonant probe
+    (drive_freq = 0) included. The signal is projected onto exp(+i w_d t)
+    and the idler onto exp(-i w_d t) by trapezoid demodulation on a step
+    grid commensurate with the drive period (integer periods, so the
+    projection error is negligible next to the integrator's O(h^4)). The
+    interference (phase-sensitive) gain of any probe phase psi is
+    |signal_amp + idler_amp * e^{i psi}|^2.
 
-    For a resonant probe (drive_freq = 0) the two responses overlap, so
-    two runs with quadrature probe phases are combined: the sum and
-    difference of out/amp over probes amp and i*amp isolate the signal
-    and idler amplitude ratios. The interference (phase-sensitive) gain
-    of any probe phase psi is |signal_amp + idler_amp * e^{i psi}|^2.
+    Raises NotSettled when either demodulated mean drifts by more than
+    0.1% of max(output scale, |drive|) between the two halves of the
+    sample window: the leftover transient scales with the drive, so a
+    physically null output (e.g. the idler with the pump off) settles.
     """
     amp = complex(run.drive_amp)
-    if run.drive_freq != 0.0:
-        a_sig, a_idl = _steady_output(run, amp)
-        s_ratio = a_sig / amp
-        i_ratio = a_idl / amp
-    else:
-        out_i = _steady_output(run, amp)
-        out_q = _steady_output(run, 1j * amp)
-        u = out_i / amp
-        v = out_q / (1j * amp)
-        s_ratio = (u + v) / 2.0
-        i_ratio = (u - v) / 2.0
-    return TimeDomainGain(
-        signal_gain=abs(s_ratio) ** 2,
-        idler_gain=abs(i_ratio) ** 2,
-        signal_amp=s_ratio,
-        idler_amp=i_ratio,
-    )
+    times, signal, idler = _rk4_window(run)
+    n = len(times) - 1
+    phasor = np.exp(1j * run.drive_freq * times)
+
+    def demod(integrand, lo: int, hi: int) -> complex:
+        # uniform-grid trapezoid over whole periods: spectrally accurate
+        part = integrand[lo : hi + 1]
+        return complex((part.sum() - (part[0] + part[-1]) / 2.0) / (hi - lo))
+
+    halves = [(demod(x, 0, n), demod(x, 0, n // 2), demod(x, n // 2, n))
+              for x in (signal * phasor, idler * phasor.conj())]
+    (sig, *_), (idl, *_) = halves
+    ref = max(abs(sig), abs(idl), abs(amp))
+    if any(abs(second - first) / ref > 1e-3 for _, first, second in halves):
+        raise NotSettled("demodulated amplitude drifts by more than 0.1% across the "
+                         "sample window; increase settle_time")
+    s_ratio, i_ratio = sig / amp, idl / amp
+    return TimeDomainGain(signal_gain=abs(s_ratio) ** 2, idler_gain=abs(i_ratio) ** 2,
+                          signal_amp=s_ratio, idler_amp=i_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +386,13 @@ def time_domain_gain(run: TimeDomainRun) -> TimeDomainGain:
 
 def transfer_equivalence(draws: int, seed: int) -> dict:
     """Max relative error between the closed-form gain factors and the
-    transfer-matrix solve over seeded random stable draws.
+    transfer-matrix solve over seeded random draws.
+
+    The single-mode draws are stable. The pair draws keep g below 0.9 of
+    the coupled-system (C0) bound and of the collective-pair bound; that
+    does not exclude a growing drift eigenvalue, so some pair draws
+    self-oscillate, and there both routes evaluate the same rational M(w),
+    which is then no steady state.
 
     Each draw checks the single-mode signal/idler pair and all four
     bare-mode gain factors of an independently drawn coupled pair. Draw k

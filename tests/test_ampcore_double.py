@@ -1,6 +1,7 @@
 """Coupled-pair physics: stability, hybridization, double-mode gain in
 both representations, regime map, gain-bandwidth product."""
 
+import cmath
 import math
 import warnings
 
@@ -25,7 +26,7 @@ from kipa import (
     single_mode_gain,
     stability_double,
 )
-from kipa.ampcore import _bare_kernel, bare_drift
+from kipa.ampcore import _bare_kernel, _pair_drift, bare_drift
 from kipa.params import power_db
 
 OMEGA0 = 2 * math.pi * 7.133e9
@@ -394,6 +395,22 @@ def reference_peak_gains(system, g, pump_grid):
     return peak_db
 
 
+def reference_pair_drift(kappa_a, kappa_b, J, g, delta_a, delta_b, phi_p):
+    """The former construction of ``ampcore._pair_drift``: the phasor by
+    ``np.vectorize`` over Python complex numbers, each entry broadcast and
+    the 4 x 4 axes moved last."""
+    gp = np.vectorize(lambda x, p: 1j * x * cmath.exp(1j * p), otypes=[complex])(g, phi_p)
+    rows = [
+        [-(1j * delta_a + kappa_a / 2.0), -1j * J, -gp, 0.0],
+        [-1j * J, -(1j * delta_b + kappa_b / 2.0), 0.0, 0.0],
+        [-np.conj(gp), 0.0, 1j * delta_a - kappa_a / 2.0, 1j * J],
+        [0.0, 0.0, 1j * J, 1j * delta_b - kappa_b / 2.0],
+    ]
+    shape = np.broadcast_shapes(*(np.shape(v) for row in rows for v in row))
+    entries = [[np.broadcast_to(v, shape) for v in row] for row in rows]
+    return np.moveaxis(np.array(entries, dtype=complex), (0, 1), (-2, -1))
+
+
 def random_pair(ka_hz, kb_over_ka, eta_a, eta_b, j_over_kappa):
     ka = 2 * math.pi * ka_hz
     kb = kb_over_ka * ka
@@ -474,6 +491,7 @@ class TestRegimeMapEqualsReference:
 
     def test_broadcast_drift_equals_single_drifts(self):
         system = random_pair(2e6, 0.7, 0.9, 0.6, 4.0)
+        a, b = system.mode_a, system.mode_b
         rng = np.random.default_rng(8)
         da = np.concatenate([rng.normal(size=30) * 1e8, [0.0, -0.0]])
         db = rng.normal(size=32) * 1e8
@@ -484,6 +502,29 @@ class TestRegimeMapEqualsReference:
                                 float(db[i]), 1.1)
             assert single.shape == (4, 4)
             assert single.tobytes() == stack[i].tobytes()
+        # bytes of the former construction: 200 scalar cases, every
+        # argument an array, and a broadcast over two axes
+        cases = [(a.kappa, b.kappa, system.J, 0.3 * a.kappa, da, db, 1.1)]
+        for k in range(200):
+            args = [2e6 * 10 ** rng.uniform(-1, 1), 3e6 * 10 ** rng.uniform(-1, 1),
+                    rng.normal() * 1e7, rng.normal() * 1e6, rng.normal() * 1e7,
+                    rng.normal() * 1e7, rng.uniform(-7.0, 7.0)]
+            if k % 5 == 0:
+                args[3] = args[6] = 0.0  # pump off, real phasor
+            if k % 7 == 0:
+                args[4] = -0.0
+            cases.append(args)
+        cases.append([rng.uniform(1e6, 1e7, 50), rng.uniform(1e6, 1e7, 50),
+                      rng.normal(size=50) * 1e7, rng.normal(size=50) * 1e6,
+                      rng.normal(size=50) * 1e7, rng.normal(size=50) * 1e7,
+                      rng.uniform(-7.0, 7.0, 50)])
+        cases.append([3e6, 4e6, 1e7, rng.normal(size=(3, 1)) * 1e6,
+                      rng.normal(size=(1, 5)) * 1e7, 0.0, np.array([[0.0], [1.1], [-2.0]])])
+        for args in cases:
+            want = reference_pair_drift(*args)
+            got = _pair_drift(*args)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestGainBandwidthProduct:

@@ -295,7 +295,7 @@ class TestTimeDomain:
         assert result.idler_gain == pytest.approx(0.0, abs=1e-9)
 
     def test_degenerate_gain_matches_closed_form(self):
-        # quadrature-probe pair separates signal and idler at zero detuning
+        # one run separates signal and idler at zero detuning
         res = make_res(eta=1.0)
         run = make_run(res, res.kappa / 4, drive_freq=0.0)
         result = time_domain_gain(run)
@@ -459,33 +459,31 @@ class TestTimeDomain:
 class TestRK4Pin:
     """Exact gains of two fixed runs, so any change to the RK4 recurrence
     or to its closed-form solution fails. The values are those of the
-    closed form; the former step loop, which accumulated t += h, gave
-    1.251547836773969, 0.5514193373288749, 2.677869820232005 and
-    2.462485204939851 (within 2e-12 relative)."""
+    closed form with signal and idler solved apart; the former step loop,
+    which accumulated t += h, gave 1.251547836773969, 0.5514193373288749,
+    2.677869820232005 and 2.462485204939851 (within 2e-11 relative)."""
 
     def test_detuned_probe(self):
         res = make_res(eta=0.85)
         k = res.kappa
         result = time_domain_gain(
             make_run(res, 0.35 * k, delta=0.1 * k, phi_p=0.7, drive_freq=0.4 * k))
-        assert repr(result.signal_gain) == "1.251547836773174"
-        assert repr(result.idler_gain) == "0.5514193373279318"
+        assert repr(result.signal_gain) == "1.251547836793288"
+        assert repr(result.idler_gain) == "0.5514193373386734"
 
     def test_resonant_probe_two_quadratures(self):
         res = make_res(eta=0.85)
         k = res.kappa
         result = time_domain_gain(
             make_run(res, 0.3 * k, delta=-0.05 * k, phi_p=1.1, drive_freq=0.0))
-        assert repr(result.signal_gain) == "2.677869820231959"
+        assert repr(result.signal_gain) == "2.677869820231958"
         assert repr(result.idler_gain) == "2.4624852049398114"
 
 
-@functools.lru_cache(maxsize=4)
-def reference_window(run, amp):
-    """The former step loop of ``oracle._steady_output``: RK4 on the
+def reference_loop(run, amp):
+    """The former step loop of ``oracle.time_domain_gain``: RK4 on the
     mean-field equation, one step at a time from a = 0, with t += h
-    accumulated. Returns the window's (times, s_out); cached, so a test
-    that checks both the gain and the trajectory of a run loops once."""
+    accumulated, driven at ``amp``. Returns the window's (times, s_out)."""
     res, g = run.res, run.g
     wd = run.drive_freq
     sqrt_ke = math.sqrt(res.kappa_e)
@@ -534,15 +532,21 @@ def reference_window(run, amp):
     return times, s_out
 
 
-def reference_steady_output(run, amp, demodulate=oracle._steady_output):
-    """``oracle._steady_output`` demodulating the step loop's window."""
-    with mock.patch.object(oracle, "_rk4_window", reference_window):
-        return demodulate(run, amp)
+@functools.lru_cache(maxsize=2)
+def reference_window(run):
+    """The step loop's window as ``oracle._rk4_window`` returns it: (times,
+    signal, idler). The signal is linear in the drive and the idler in its
+    conjugate, so loops at amp and i*amp give s_u = S + I and
+    s_v = i (S - I). Cached, so a test that checks both the gain and the
+    trajectory of a run loops twice, not four times."""
+    times, s_u = reference_loop(run, run.drive_amp)
+    _, s_v = reference_loop(run, 1j * run.drive_amp)
+    return times, (s_u - 1j * s_v) / 2.0, (s_u + 1j * s_v) / 2.0
 
 
 def reference_gain(run):
-    """``time_domain_gain`` on the step loop."""
-    with mock.patch.object(oracle, "_steady_output", reference_steady_output):
+    """``time_domain_gain`` demodulating the step loop's window."""
+    with mock.patch.object(oracle, "_rk4_window", reference_window):
         return time_domain_gain(run)
 
 
@@ -588,15 +592,18 @@ def fixed_runs():
 
 
 def assert_matches_step_loop(run):
-    """The window trajectory within 1e-8 of its maximum (or of the drive
-    amplitude, for a null output that is all cancellation); NotSettled
-    raised by both or by neither; otherwise signal and idler amplitudes
-    within 1e-9 of the output scale."""
-    times, s_out = oracle._rk4_window(run, run.drive_amp)
-    ref_times, ref_s_out = reference_window(run, run.drive_amp)
+    """The window trajectory, and its signal and idler parts, each within
+    1e-8 of its maximum (or of the drive amplitude, for a null output that
+    is all cancellation); NotSettled raised by both or by neither;
+    otherwise signal and idler amplitudes within 1e-9 of the larger of
+    the output scale and the drive."""
+    times, signal, idler = oracle._rk4_window(run)
+    ref_times, ref_signal, ref_idler = reference_window(run)
     assert np.allclose(times, ref_times, rtol=1e-9, atol=0.0)
-    scale = max(np.max(np.abs(ref_s_out)), abs(run.drive_amp))
-    assert np.max(np.abs(s_out - ref_s_out)) <= 1e-8 * scale
+    for got, ref in ((signal + idler, ref_signal + ref_idler), (signal, ref_signal),
+                     (idler, ref_idler)):
+        scale = max(np.max(np.abs(ref)), abs(run.drive_amp))
+        assert np.max(np.abs(got - ref)) <= 1e-8 * scale
     try:
         ref = reference_gain(run)
     except NotSettled:
@@ -604,7 +611,7 @@ def assert_matches_step_loop(run):
             time_domain_gain(run)
         return
     got = time_domain_gain(run)
-    scale = max(abs(ref.signal_amp), abs(ref.idler_amp))
+    scale = max(abs(ref.signal_amp), abs(ref.idler_amp), 1.0)  # 1.0: the drive
     assert abs(got.signal_amp - ref.signal_amp) <= 1e-9 * scale
     assert abs(got.idler_amp - ref.idler_amp) <= 1e-9 * scale
 
@@ -618,7 +625,7 @@ class TestClosedFormRecurrence:
         assert_matches_step_loop(run)
 
     # ranges keep each step loop below ~3e4 steps; the pump-off critically
-    # coupled mode has a null output and is NotSettled in both
+    # coupled mode has a null output, which settles
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(kappa_hz=st.floats(1e5, 1e8), eta=st.floats(0.5, 1.0),
            g_frac=st.floats(0.0, 0.8), delta=st.floats(-1.0, 1.0),
@@ -646,6 +653,22 @@ class TestClosedFormRecurrence:
             res=res, g=g, delta=0.1 * k, phi_p=0.3, drive_freq=drive * k,
             drive_amp=1.0 + 0.0j, step=1.0 / (50 * k),
             settle_time=settle / (k / 2 - g), sample_time=20.0 / k))
+
+    @pytest.mark.parametrize("drive", [0.0, 0.4])
+    def test_one_window_per_run(self, drive):
+        res = make_res(eta=0.9)
+        run = make_run(res, 0.3 * res.kappa, phi_p=0.4, drive_freq=drive * res.kappa)
+        with mock.patch.object(oracle, "_rk4_window", wraps=oracle._rk4_window) as window:
+            time_domain_gain(run)
+        assert window.call_count == 1
+
+    def test_null_output_settles(self):
+        # critically coupled, pump off, resonant probe: S = 2 eta - 1 = 0
+        # and no idler; the leftover transient is judged against the drive
+        run = make_run(make_res(eta=0.5, kappa=2 * math.pi * 1e5), 0.0)
+        result = time_domain_gain(run)
+        assert result.signal_gain < 1e-18
+        assert result.idler_gain == 0.0
 
     def test_repeated_calls_are_bit_identical(self):
         for run in fixed_runs()[:3]:
