@@ -745,6 +745,56 @@ _SKIP_RTOL = 1e-9      # margin of a skipped cell below the best coarse sample
 _POLE_TOL = 1e-6       # pole position error, relative to |delta| + J + kappa + g
 _RESIDUE_PAD = 1e-3    # relative padding of each residue's magnitude
 _PARTIAL_RTOL = 1e-6   # partial fractions vs exact response at the coarse points
+_ABERTH_STEPS = 10     # fixed root-finder steps from the g = 0 roots
+_SETTLED_RTOL = 1e-12  # last step of a converged row, relative to the pole scale
+_SIGN_BAND = 1e-8      # |Im p| at or below this share of the pole scale: eigvals decides
+
+
+def _pair_quartic(kappa_a, kappa_b, J, g, deltas):
+    """The bare denominator at the common detunings ``deltas`` (shape (n,))
+    as a monic quartic in w: its coefficients (c3, c2, c1, c0), and its
+    roots at g = 0 (shape (4, n)).
+
+    D(w) = L U + g^2 B, with L = (w - z_a)(w - z_b) - J^2,
+    U = (w - y_a)(w - y_b) - J^2 and B = (w - z_b)(w - y_b), where
+    z = delta - i kappa/2 and y = -delta - i kappa/2 per mode; it equals
+    :func:`_bare_kernel`'s den.
+    """
+    za, zb = deltas - 0.5j * kappa_a, deltas - 0.5j * kappa_b
+    ya, yb = -deltas - 0.5j * kappa_a, -deltas - 0.5j * kappa_b
+    jj, gg = J * J, g * g  # float * overflows to inf, where ** raises
+    l1, l0 = -(za + zb), za * zb - jj
+    u1, u0 = -(ya + yb), ya * yb - jj
+    coefficients = (l1 + u1, l0 + u0 + l1 * u1 + gg, l1 * u0 + l0 * u1 - gg * (zb + yb),
+                    l0 * u0 + gg * zb * yb)
+    hz, hy = np.sqrt(0.25 * (za - zb) ** 2 + jj), np.sqrt(0.25 * (ya - yb) ** 2 + jj)
+    return coefficients, np.array([-l1 / 2.0 - hz, -l1 / 2.0 + hz,
+                                   -u1 / 2.0 - hy, -u1 / 2.0 + hy])
+
+
+def _map_poles(kappa_a, kappa_b, J, g, deltas):
+    """Roots p_k of :func:`_pair_quartic` at the common detunings
+    ``deltas`` (shape (n, 4)), and each row's largest last step.
+
+    Simultaneous Aberth iteration (O. Aberth, Math. Comp. 27 (1973) 339)
+    takes a fixed number of steps from the g = 0 roots, turned apart so
+    that the starts that coincide at delta = +-J when kappa_a = kappa_b do
+    not. A row whose last step is not small has not converged.
+    """
+    (c3, c2, c1, c0), starts = _pair_quartic(kappa_a, kappa_b, J, g, deltas)
+    turn = np.exp(1j * (0.4 + np.pi / 2.0 * np.arange(4)))[:, None]
+    p = starts + 1e-2 * (abs(g) + min(kappa_a, kappa_b)) * turn
+    for _ in range(_ABERTH_STEPS):
+        newton = ((((p + c3) * p + c2) * p + c1) * p + c0) / (
+            ((4.0 * p + 3.0 * c3) * p + 2.0 * c2) * p + c1)
+        p0, p1, p2, p3 = p
+        i01, i02, i03 = 1.0 / (p0 - p1), 1.0 / (p0 - p2), 1.0 / (p0 - p3)
+        i12, i13, i23 = 1.0 / (p1 - p2), 1.0 / (p1 - p3), 1.0 / (p2 - p3)
+        pull = np.array([i01 + i02 + i03, i12 + i13 - i01, i23 - i02 - i12,
+                         -(i03 + i13 + i23)])
+        step = newton / (1.0 - newton * pull)
+        p = p - step
+    return p.T, np.abs(step).max(axis=0)
 
 
 def _signal_a(kappa_a, kappa_b, kappa_ae, J, g, delta, w):
@@ -849,13 +899,21 @@ def pump_regime_map(
     prominence are classified by their detuning as the lower single-mode,
     double-mode and upper single-mode regimes.
 
+    The response poles p_k = i*lambda_k (lambda_k the drift eigenvalues,
+    so Re lambda_k = Im p_k) are the roots of the bare denominator D(w), a
+    monic quartic in w (:func:`_map_poles`); a pump point is stable when
+    every Im p_k < 0. Only where the root finder has not converged, or
+    where some |Im p_k| is at most 1e-8 of |delta| + J + max(kappa) + |g|,
+    is the sign in doubt: there the eigenvalues of :func:`bare_drift`
+    (``np.linalg.eigvals``) give the poles instead.
+
     The grid maximum is found coarse to fine, and the peak heights equal
-    those of a full-grid evaluation bit for bit. With p_k = i*lambda_k
-    (lambda_k the drift eigenvalues) the response is the proper rational
-    function f = S_a + 1 = sum_k r_k/(w - p_k). On a cell of width h
-    between two coarse samples, with d_k the distance from p_k to the cell
-    (less a tolerance), F0 = sum |r_k|/d_k bounds |f|, F1 = sum |r_k|/d_k^2
-    bounds |f'| and F2 = 2 sum |r_k|/d_k^3 bounds |f''|, so
+    those of a full-grid evaluation bit for bit. The response is the
+    proper rational function f = S_a + 1 = sum_k r_k/(w - p_k). On a cell
+    of width h between two coarse samples, with d_k the distance from p_k
+    to the cell (less a tolerance), F0 = sum |r_k|/d_k bounds |f|,
+    F1 = sum |r_k|/d_k^2 bounds |f'| and F2 = 2 sum |r_k|/d_k^3 bounds
+    |f''|, so
 
         max |S_a|^2 <= max(ends) + h^2/8 * (2 F1^2 + 2 F2 (F0 + 1))
 
@@ -868,7 +926,7 @@ def pump_regime_map(
 
     Requires the system to be at the anticrossing (omega_a = omega_b to
     within J/100). Raises UnstableRegime when no pump point is stable, or
-    NonPhysical when the drift eigenvalues are too large to resolve it.
+    NonPhysical when the poles are too large to resolve it.
     """
     if not system.J > 0:
         raise ValueError("pump_regime_map requires a coupled pair (J > 0)")
@@ -887,21 +945,27 @@ def pump_regime_map(
     if len(pump) == 0:
         raise ValueError("pump_regime_map requires a non-empty pump grid")
     deltas = omega_c - pump / 2.0
-    eigs = np.linalg.eigvals(bare_drift(system, g, deltas, deltas))
-    stable = np.flatnonzero(~(eigs.real.max(axis=-1) >= 0.0))  # skip self-oscillation
     rates = (system.mode_a.kappa, system.mode_b.kappa, system.mode_a.kappa_e, J, g)
     peak_db = np.full(len(pump), np.nan)
     # rates near 1e150 overflow the kernels to inf or NaN: the precision
     # check below names that case, so numpy need not warn as well, and no
     # kernel runs without a stable pump point (g**2 overflows from ~1e154)
     with np.errstate(all="ignore"):
+        poles, last = _map_poles(system.mode_a.kappa, system.mode_b.kappa, J, g, deltas)
+        scale = np.abs(deltas) + J + kmax + abs(g)
+        doubt = np.flatnonzero(~((last <= _SETTLED_RTOL * scale)
+                                 & (np.abs(poles.imag).min(axis=1) > _SIGN_BAND * scale)))
+        if len(doubt):
+            poles[doubt] = 1j * np.linalg.eigvals(
+                bare_drift(system, g, deltas[doubt], deltas[doubt]))
+        stable = np.flatnonzero(~(poles.imag.max(axis=1) >= 0.0))  # skip self-oscillation
         if len(stable):
             half_span = J + 4.0 * kmax + 2.0 * g
             w_grid = np.linspace(-half_span, half_span, _MAP_POINTS)
             peak = np.empty(len(stable), dtype=int)
             for b in range(0, len(stable), _PUMP_BLOCK):
                 i = stable[b:b + _PUMP_BLOCK]
-                peak[b:b + _PUMP_BLOCK] = _grid_peaks(rates, deltas[i], 1j * eigs[i], w_grid)
+                peak[b:b + _PUMP_BLOCK] = _grid_peaks(rates, deltas[i], poles[i], w_grid)
             # refine through the peak and its grid neighbours, -inf beyond the ends
             near = peak[:, None] + np.arange(-1, 2)
             inside = (near >= 0) & (near < len(w_grid))
@@ -913,9 +977,9 @@ def pump_regime_map(
 
     finite = np.isfinite(peak_db)
     if not finite.any():
-        # eigenvalues carry an absolute error of ~eps*max|lambda|: once that
-        # reaches the damping, the sign of their real parts means nothing
-        lam = float(np.abs(eigs).max())
+        # poles carry an absolute error of ~eps*max|p|: once that reaches
+        # the damping, the sign of their imaginary parts means nothing
+        lam = float(np.abs(poles).max())
         kmin = min(system.mode_a.kappa, system.mode_b.kappa)
         if np.finfo(float).eps * lam >= kmin / 2.0:
             raise NonPhysical(

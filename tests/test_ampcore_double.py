@@ -26,7 +26,7 @@ from kipa import (
     single_mode_gain,
     stability_double,
 )
-from kipa.ampcore import _bare_kernel, _pair_drift, bare_drift
+from kipa.ampcore import _bare_kernel, _map_poles, _pair_drift, _pair_quartic, bare_drift
 from kipa.params import power_db
 
 OMEGA0 = 2 * math.pi * 7.133e9
@@ -525,6 +525,104 @@ class TestRegimeMapEqualsReference:
             got = _pair_drift(*args)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Response poles of the regime map: roots of the pair's quartic, checked
+# against LAPACK's eigenvalues of the drift
+# ---------------------------------------------------------------------------
+
+def pole_scale(system, g, deltas):
+    kmax = max(system.mode_a.kappa, system.mode_b.kappa)
+    return np.abs(deltas) + system.J + kmax + abs(g)
+
+
+def quartic_poles(system, g, deltas):
+    """The roots of the quartic, and the rows whose poles the map takes from
+    eigvals instead: the last root-finder step above 1e-12 of the pole
+    scale (not converged), or some |Im p| within 1e-8 of it (sign in
+    doubt)."""
+    poles, last = _map_poles(system.mode_a.kappa, system.mode_b.kappa, system.J, g,
+                             deltas)
+    scale = pole_scale(system, g, deltas)
+    doubt = ~((last <= 1e-12 * scale) & (np.abs(poles.imag).min(axis=1) > 1e-8 * scale))
+    return poles, doubt
+
+
+class TestMapPoles:
+    @pytest.mark.parametrize("kb_over_ka, j_over_kappa, g_frac", [
+        (1.0, 4.0, 0.9), (1.7, 0.4, 1.2), (0.6, 25.0, 0.0)])
+    def test_quartic_is_the_bare_denominator(self, kb_over_ka, j_over_kappa, g_frac):
+        system = random_pair(3e6, kb_over_ka, 0.9, 0.7, j_over_kappa)
+        ka, kb, J = system.mode_a.kappa, system.mode_b.kappa, system.J
+        g = g_frac * pair_threshold(system)
+        rng = np.random.default_rng(11)
+        deltas = rng.normal(size=40) * 3.0 * (J + ka)
+        w = (rng.normal(size=40) + 1j * rng.normal(size=40)) * 3.0 * (J + ka)
+        (c3, c2, c1, c0), _ = _pair_quartic(ka, kb, J, g, deltas)
+        quartic = (((w + c3) * w + c2) * w + c1) * w + c0
+        den = _bare_kernel(ka, kb, J, g, deltas, deltas, w)[-1]
+        scale = (np.abs(w) + pole_scale(system, g, deltas)) ** 4
+        assert (np.abs(quartic - den) <= 1e-14 * scale).all()
+        # the starts are the roots at g = 0
+        _, starts = _pair_quartic(ka, kb, J, 0.0, deltas)
+        den = _bare_kernel(ka, kb, J, 0.0, deltas, deltas, starts)[-1]
+        assert (np.abs(den) <= 1e-14 * pole_scale(system, 0.0, deltas) ** 4).all()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        kb_over_ka=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
+        j_over_kappa=st.floats(0.3, 30.0),
+        g_frac=st.one_of(st.floats(0.95, 1.05), st.just(1.0), st.floats(0.0, 1.3)),
+        centre=st.sampled_from([-1.0, 0.0, 1.0]),
+        offsets=st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+                         min_size=1, max_size=30),
+    )
+    def test_roots_match_eigvals(self, kb_over_ka, j_over_kappa, g_frac, centre, offsets):
+        """Near the pair threshold, and at delta = +-J where the starts of
+        equal linewidths coincide: every row the map does not hand to
+        eigvals has its stable set and each pole within 1e-12 of the pole
+        scale."""
+        system = random_pair(2e6, kb_over_ka, 0.85, 0.85, j_over_kappa)
+        g = g_frac * pair_threshold(system)
+        deltas = centre * system.J + system.mode_a.kappa * np.array(offsets)
+        poles, doubt = quartic_poles(system, g, deltas)
+        eigs = 1j * np.linalg.eigvals(bare_drift(system, g, deltas, deltas))
+        kept = ~doubt
+        assert np.array_equal(poles[kept].imag.max(axis=1) >= 0.0,
+                              eigs[kept].imag.max(axis=1) >= 0.0)
+        distance = np.abs(poles[kept, :, None] - eigs[kept, None, :])
+        bound = 1e-12 * pole_scale(system, g, deltas)[kept]
+        assert (distance.min(axis=2).max(axis=1) <= bound).all()
+        assert (distance.min(axis=1).max(axis=1) <= bound).all()
+
+    @pytest.mark.parametrize("j_over_kappa, kb_over_ka, g_frac, rows", [
+        (3.0, 1.3, 0.9, "none"),
+        (4.0, 1.0, 1.0, "some"),   # a root on the real axis at delta = 0
+        (3.0, 1.3, 1.05, "some"),  # a row the root finder leaves unconverged
+        (1e12, 1.0, 0.9, "all"),   # |Im p| within 1e-8 of J everywhere
+    ])
+    def test_eigvals_runs_only_on_rows_in_doubt(self, monkeypatch, j_over_kappa,
+                                                kb_over_ka, g_frac, rows):
+        system = random_pair(6e6, kb_over_ka, 0.8, 0.9, j_over_kappa)
+        g = g_frac * pair_threshold(system)
+        half = 6 * system.J + 6 * max(system.mode_a.kappa, system.mode_b.kappa)
+        pump = 2 * OMEGA0 + np.linspace(-half, half, 801)
+        deltas = OMEGA0 - pump / 2.0
+        _, doubt = quartic_poles(system, g, deltas)
+        assert {"none": not doubt.any(), "some": 0 < doubt.sum() < len(pump),
+                "all": doubt.all()}[rows]
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting_eigvals(a):
+            calls.append(np.array(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        pump_regime_map(system, g, pump)
+        expected = [bare_drift(system, g, deltas[doubt], deltas[doubt]).tobytes()]
+        assert [c.tobytes() for c in calls] == (expected if doubt.any() else [])
 
 
 class TestGainBandwidthProduct:

@@ -75,8 +75,13 @@ def noise_trace(g_tot, n_add, omega, temps, noise_frac=0.0, rng=None):
 
 def reference_single_mode_signal(kappa, eta, g, delta, w):
     """The signal kernel before its grid terms: (signal, D) with the full
-    scale array under errstate and a pole scan on every sample."""
+    scale array under errstate and a pole scan on every sample. Scalar
+    rates whose (kappa/2)**2 underflows below the smallest normal double
+    are refused, as in the kernel."""
     try:
+        if np.ndim(kappa) == 0 and (float(kappa) / 2.0) ** 2 < np.finfo(float).tiny:
+            raise NonPhysical(f"gain denominator underflows (kappa down to "
+                              f"{abs(float(kappa)):g} rad/s)")
         with np.errstate(over="ignore", invalid="ignore"):
             den = delta**2 - g**2 + (1j * w - kappa / 2.0) ** 2
             scale = delta**2 + g**2 + (kappa / 2.0) ** 2 + w**2
@@ -208,6 +213,9 @@ class TestSignalOnlyModels:
              g_frac=_SCANNED_G_FRAC, offsets=_GATE_OFFSETS, shift=0.0)
     @example(kappa_e_hz=np.float64(25e6), kappa_i_hz=np.float64(5e6),
              g_frac=_UNSCANNED_G_FRAC, offsets=_GATE_OFFSETS, shift=0.0)
+    # (kappa/2)**2 underflows: the kernel refuses before any pole scan
+    @example(kappa_e_hz=np.float64(5e-324), kappa_i_hz=np.float64(-0.0), g_frac=1.0,
+             offsets=[0.0], shift=0.0)
     def test_gain_model_matches_reference(self, kappa_e_hz, kappa_i_hz, g_frac,
                                           offsets, shift):
         f, center = model_grid(kappa_e_hz, kappa_i_hz, offsets, shift)
@@ -219,6 +227,11 @@ class TestSignalOnlyModels:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(kappa_e_hz=_KAPPA_E, kappa_i_hz=_KAPPA_I, offsets=_OFFSETS,
            shift=_CENTER_SHIFT)
+    # (kappa/2)**2 underflows, with a sample on the center and far off it
+    @example(kappa_e_hz=np.float64(5e-324), kappa_i_hz=np.float64(-0.0), offsets=[0.0],
+             shift=0.0)
+    @example(kappa_e_hz=np.float64(5e-324), kappa_i_hz=np.float64(5e-324), offsets=[0.0],
+             shift=1e25)
     def test_reflection_model_matches_reference(self, kappa_e_hz, kappa_i_hz,
                                                 offsets, shift):
         f, f0 = model_grid(kappa_e_hz, kappa_i_hz, offsets, shift)

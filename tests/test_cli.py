@@ -241,6 +241,23 @@ class TestRegimeMapCommand:
         assert (code, out) == (3, "")
         assert err.startswith(f"kipa: {message}")
 
+    @pytest.mark.parametrize("j_hz, code", [(1e18, 0), (1e40, 3)])
+    def test_precision_loss_begins_between_1e18_and_1e40_hz(self, tmp_path, j_hz,
+                                                             code):
+        """The poles reach ~4J, and their rounding with them: at 1e40 Hz
+        it swamps min(kappa)/2 on every pump point and the map refuses; at
+        1e18 Hz it maps. numpy warns of nothing on either side."""
+        path = write_device(tmp_path, base=DOUBLE_DEVICE, j_hz=j_hz)
+        result = run_process(["regime-map", "--config", path])
+        assert result.returncode == code
+        assert "Warning" not in result.stderr
+        if code:
+            assert result.stdout == ""
+            assert result.stderr.startswith("kipa: eigenvalue precision lost")
+        else:
+            assert json.loads(result.stdout)["operation"] == "regime-map"
+            assert result.stderr == ""
+
     def test_csv_rows_are_the_finite_map_points(self, capsys, double_config_path,
                                                 tmp_path):
         from kipa import datio, pump_regime_map
