@@ -742,7 +742,7 @@ _MAP_POINTS = 2001
 _COARSE_STRIDE = 25
 _PUMP_BLOCK = 32       # pump points per block: temporaries of ~1.5 MB stay in L2
 _SKIP_RTOL = 1e-9      # margin of a skipped cell below the best coarse sample
-_POLE_TOL = 1e-6       # pole position error, relative to |delta| + J + kappa + g
+_POLE_TOL = 1e-6       # pole position error, relative to |delta| + J + kappa + |g|
 _RESIDUE_PAD = 1e-3    # relative padding of each residue's magnitude
 _PARTIAL_RTOL = 1e-6   # partial fractions vs exact response at the coarse points
 _ABERTH_STEPS = 10     # fixed root-finder steps from the g = 0 roots
@@ -822,7 +822,7 @@ def _grid_peaks(rates, deltas, poles, w):
     _, bm, _, _, upper, _ = _bare_kernel(kappa_a, kappa_b, J, g, delta, delta, poles)
     gaps = poles[:, :, None] - poles[:, None, :]
     gaps[:, range(4), range(4)] = 1.0
-    tol = _POLE_TOL * (np.abs(deltas) + J + max(kappa_a, kappa_b) + g)
+    tol = _POLE_TOL * (np.abs(deltas) + J + max(kappa_a, kappa_b) + abs(g))
     lo, hi = ends[:-1], ends[1:]
     partial = f0 = f1 = f2 = 0.0
     residues = kappa_ae * bm * upper / gaps.prod(axis=2)
@@ -960,7 +960,7 @@ def pump_regime_map(
                 bare_drift(system, g, deltas[doubt], deltas[doubt]))
         stable = np.flatnonzero(~(poles.imag.max(axis=1) >= 0.0))  # skip self-oscillation
         if len(stable):
-            half_span = J + 4.0 * kmax + 2.0 * g
+            half_span = J + 4.0 * kmax + 2.0 * abs(g)
             w_grid = np.linspace(-half_span, half_span, _MAP_POINTS)
             peak = np.empty(len(stable), dtype=int)
             for b in range(0, len(stable), _PUMP_BLOCK):

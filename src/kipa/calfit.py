@@ -1,11 +1,14 @@
 """Parameter extraction by least squares.
 
 The optimizer is a damped (Levenberg-Marquardt style) least-squares
-iteration with a forward-difference Jacobian: dependency-free and
-reproducible. Damping uses Marquardt diagonal scaling with a trust
-factor of x0.5 on an accepted step and x2 on a rejected one;
-convergence requires a relative parameter change below 1e-10 or a
-relative residual change below 1e-12, capped at 200 iterations.
+iteration: dependency-free and reproducible. The reflection and
+gain-profile fits pass it the exact Jacobian of their model, one kernel
+evaluation and a few array operations per iteration; the noise and
+Lorentzian fits use a forward-difference Jacobian. Damping uses
+Marquardt diagonal scaling with a trust factor of x0.5 on an accepted
+step and x2 on a rejected one; convergence requires a relative
+parameter change below 1e-10 or a relative residual change below 1e-12,
+capped at 200 iterations.
 
 Traces and fitted parameters live in Hz / ampere / kelvin (measurement
 units); conversion to internal angular units happens inside the model
@@ -39,7 +42,7 @@ from .errors import (
     UnstableRegime,
 )
 from .errors import finite_or_nonphysical as _finite
-from .params import ResonatorParams, Trace, hz_to_angular, power_linear
+from .params import TWO_PI, ResonatorParams, Trace, hz_to_angular, power_linear
 
 
 @dataclass
@@ -81,10 +84,13 @@ def _jacobian(residual_fn, p, r0, scale):
     return J
 
 
-def damped_least_squares(residual_fn, p0, scale, *, overflow):
+def damped_least_squares(residual_fn, p0, scale, *, overflow, jacobian=None):
     """Minimize sum(residual_fn(p)^2) from p0; each parameter varies on its
-    ``scale``. A trial point where residual_fn raises one of ``_INFEASIBLE``
-    or gives a cost that is not finite is a rejected step. At p0 the error
+    ``scale``. ``jacobian(p)``, if given, returns the (m, n) Jacobian of
+    the residuals at a point where residual_fn has been evaluated;
+    otherwise a forward difference on each parameter's scale stands in. A
+    trial point where residual_fn raises one of ``_INFEASIBLE`` or gives a
+    cost that is not finite is a rejected step. At p0 the error
     propagates, and such a cost raises NonPhysical(overflow), a message or
     a callable as :func:`errors.finite_or_nonphysical` takes. Returns
     (p, iterations, residuals). Raises IllConditioned if the Jacobian is
@@ -100,17 +106,17 @@ def damped_least_squares(residual_fn, p0, scale, *, overflow):
     step_overflow = f"least-squares step overflows (parameter scales down to {np.min(scale):g})"
     # one guard over the iterations: numpy's warnings stay off, so a trial
     # point that overflows is a rejected step, not a warning
-    return _finite(lambda: _iterate(residual_fn, p, r, ssr, scale, step_overflow),
+    return _finite(lambda: _iterate(residual_fn, p, r, ssr, scale, step_overflow, jacobian),
                    step_overflow)
 
 
-def _iterate(residual_fn, p, r, ssr, scale, overflow):
+def _iterate(residual_fn, p, r, ssr, scale, overflow, jacobian=None):
     """:func:`damped_least_squares` from p, its residuals r and their sum
     of squares ssr; NonPhysical(overflow) where J^T J is not finite."""
     n = len(p)
     lam = 1e-3
     for iteration in range(1, _MAX_ITER + 1):
-        J = _jacobian(residual_fn, p, r, scale)
+        J = _jacobian(residual_fn, p, r, scale) if jacobian is None else jacobian(p)
         # finite normal equations imply a finite J, as the rank check's SVD needs
         JtJ, Jtr = _finite(lambda: (J.T @ J, J.T @ r), overflow)
         if iteration == 1 and np.linalg.matrix_rank(J) < n:
@@ -159,13 +165,14 @@ def _iterate(residual_fn, p, r, ssr, scale, overflow):
     raise NotConverged(f"iteration cap {_MAX_ITER} reached")
 
 
-def _result(residual_fn, p, iterations, r, scale, names):
-    """FitResult at the optimum p; sigma is inf where the covariance is singular."""
+def _result(residual_fn, p, iterations, r, scale, names, jacobian=None):
+    """FitResult at the optimum p; sigma is inf where the covariance is
+    singular. ``jacobian`` is as :func:`damped_least_squares` takes it."""
     m, n = len(r), len(p)
     ssr = float(r @ r)
 
     def covariance():
-        J = _jacobian(residual_fn, p, r, scale)
+        J = _jacobian(residual_fn, p, r, scale) if jacobian is None else jacobian(p)
         return np.zeros((n, n)) if m <= n else np.linalg.inv(J.T @ J) * (ssr / (m - n))
 
     try:
@@ -205,8 +212,9 @@ def _offsets(f_hz, f_center):
 
 def _offsets_per_center():
     """:func:`_offsets` for the one trace of a fit, rebuilt only when the
-    trial center changes: three of the four Jacobian columns of the gain
-    fit, and most of its starting candidates, share a center."""
+    trial center changes: the exact Jacobian at a point shares the center
+    of the residuals just evaluated there, and most of the gain fit's
+    starting candidates share a center."""
     last = {}
 
     def offsets(f_hz, f_center):
@@ -220,33 +228,87 @@ def _offsets_per_center():
 
 
 def _signal(res: ResonatorParams, g, f_hz, f_center, offsets):
-    """Signal gain factor of :func:`ampcore.single_mode_gain` at zero
-    detuning and phase, on rates kept as scalars (an array square may
-    round g**2 differently) and the grid terms ``offsets(f_hz, f_center)``.
-    Raises what single_mode_gain raises: UnstableRegime for |g| >= kappa/2,
-    NonPhysical on an overflow and PoleAtFrequency at a pole; and
-    ValueError for offsets that do not strictly increase. Each is one of
-    ``_INFEASIBLE``."""
+    """(signal, D): the signal gain factor of :func:`ampcore.single_mode_gain`
+    at zero detuning and phase and its denominator, on rates kept as
+    scalars (an array square may round g**2 differently) and the grid terms
+    ``offsets(f_hz, f_center)``. Raises what single_mode_gain raises:
+    UnstableRegime for |g| >= kappa/2, NonPhysical on an overflow and
+    PoleAtFrequency at a pole; and ValueError for offsets that do not
+    strictly increase. Each is one of ``_INFEASIBLE``."""
     kappa = res.kappa
     ampcore._require_stable(ampcore._single_stability(kappa, g), g)
     grid, increasing = offsets(f_hz, f_center)
-    signal, _ = ampcore._single_mode_signal(kappa, res.eta, g, 0.0, grid)
+    signal, den = ampcore._single_mode_signal(kappa, res.eta, g, 0.0, grid)
     if not increasing:  # a far-off center collapses the offsets
         raise ValueError("frequency offsets must be strictly increasing")
-    return signal
+    return signal, den
 
 
 def _reflection_model(f_hz, f0, kappa_e_hz, kappa_i_hz, offsets=_offsets):
-    return _signal(_resonator(f0, kappa_e_hz, kappa_i_hz), 0.0, f_hz, f0, offsets)
+    return _signal(_resonator(f0, kappa_e_hz, kappa_i_hz), 0.0, f_hz, f0, offsets)[0]
+
+
+def _reflection_jacobian(f_hz, f0, kappa_e_hz, kappa_i_hz, offsets=_offsets):
+    """Exact Jacobian in (f0, kappa_e, kappa_i) of the stacked real and
+    imaginary parts of :func:`_reflection_model`, shape (2m, 3); raises as
+    the model does. With u = kappa/2 - iw and F = S + 1 = kappa_e/u:
+    dS/dkappa_e = 1/u - F/(2u), dS/dkappa_i = -F/(2u) and dS/dw = iF/u,
+    where dw/df0 = -2 pi and each rate in Hz adds a factor 2 pi."""
+    res = _resonator(f0, kappa_e_hz, kappa_i_hz)
+    h, _ = _signal(res, 0.0, f_hz, f0, offsets)
+    (_, iw, _), _ = offsets(f_hz, f0)
+    u = res.kappa / 2.0 - iw
+    h += 1.0
+    h /= u
+    h *= math.pi  # 2 pi F/(2u), that is -dS/dkappa_i per Hz
+    np.reciprocal(u, out=u)
+    u *= TWO_PI
+    u -= h  # dS/dkappa_e per Hz
+    m = len(h)
+    jac = np.empty((2 * m, 3))
+    for j, column in enumerate((-2j * h, u, -h)):
+        jac[:m, j], jac[m:, j] = column.real, column.imag
+    return jac
 
 
 def _gain_model_db(f_hz, g_hz, kappa_e_hz, kappa_i_hz, f_center, offsets=_offsets):
     """Power gain [dB] of :func:`_signal`; raises as it does."""
     res = _resonator(max(f_center, 1.0), kappa_e_hz, kappa_i_hz)
-    signal = _signal(res, hz_to_angular(g_hz), f_hz, f_center, offsets)
+    signal, _ = _signal(res, hz_to_angular(g_hz), f_hz, f_center, offsets)
     # power_db(np.abs(signal) ** 2), in place on the one temporary
     power = np.square(np.abs(signal))
     return np.multiply(10.0, np.log10(power, out=power), out=power)
+
+
+def _gain_jacobian(f_hz, g_hz, kappa_e_hz, kappa_i_hz, f_center, offsets=_offsets):
+    """Exact Jacobian of :func:`_gain_model_db` in (g, kappa_e, kappa_i,
+    f_center), shape (m, 4); raises as the model does. With
+    u = kappa/2 - iw, D = u^2 - g^2, S = kappa_e u/D - 1 and F = S + 1:
+    dS/dg = 2gF/D, dS/dkappa_e = (u + kappa_e/2 - Fu)/D,
+    dS/dkappa_i = (kappa_e/2 - Fu)/D and dS/dw = i(2Fu - kappa_e)/D, where
+    dw/df_center = -2 pi and each rate in Hz adds a factor 2 pi; a dB
+    value moves by (20/ln 10) Re(dS/S)."""
+    res = _resonator(max(f_center, 1.0), kappa_e_hz, kappa_i_hz)
+    g = hz_to_angular(g_hz)
+    s, q = _signal(res, g, f_hz, f_center, offsets)
+    (_, iw, _), _ = offsets(f_hz, f_center)
+    u = res.kappa / 2.0 - iw
+    q *= s
+    np.reciprocal(q, out=q)  # 1/(DS)
+    s += 1.0
+    s *= q  # F/(DS)
+    c = TWO_PI * 20.0 / math.log(10.0)
+    jac = np.empty((len(s), 4))
+    np.multiply(s.real, 2.0 * g * c, out=jac[:, 0])
+    s *= u
+    u *= q
+    q *= res.kappa_e / 2.0
+    q -= s  # (kappa_e/2 - Fu)/(DS)
+    np.multiply(q.real, c, out=jac[:, 2])
+    np.multiply(u.real, c, out=jac[:, 1])
+    jac[:, 1] += jac[:, 2]
+    np.multiply(q.imag, -2.0 * c, out=jac[:, 3])
+    return jac
 
 
 def _noise_model(T, g_tot, n_add, omega):
@@ -319,9 +381,13 @@ def fit_reflection(trace: Trace) -> FitResult:
         np.subtract(model, y, out=model)
         return np.concatenate([model.real, model.imag])
 
+    def jacobian(p):
+        return _reflection_jacobian(f, *p, offsets)
+
     names = ("f0_hz", "kappa_e_hz", "kappa_i_hz")
-    p, iterations, r = damped_least_squares(residuals, p0, scale=scale, overflow=overflow)
-    return _result(residuals, p, iterations, r, scale, names)
+    p, iterations, r = damped_least_squares(residuals, p0, scale=scale, overflow=overflow,
+                                            jacobian=jacobian)
+    return _result(residuals, p, iterations, r, scale, names, jacobian)
 
 
 def fit_bias_sweep(trace: Trace) -> FitResult:
@@ -508,6 +574,9 @@ def fit_gain_profile(trace: Trace, kappa_hint: float | None = None) -> FitResult
         model = _gain_model_db(f, *p, offsets)
         return np.subtract(model, y_db, out=model)
 
+    def jacobian(p):
+        return _gain_jacobian(f, *p, offsets)
+
     def start_cost(start):
         try:
             r = residuals(np.array(start))
@@ -548,7 +617,8 @@ def fit_gain_profile(trace: Trace, kappa_hint: float | None = None) -> FitResult
         scale = np.array([kappa0 / 2.0, kappa0, kappa0, span])
         try:
             p, iterations, r = damped_least_squares(residuals, p0, scale=scale,
-                                                    overflow=no_finite_start)
+                                                    overflow=no_finite_start,
+                                                    jacobian=jacobian)
         except FitError as exc:
             first_error = first_error or exc
             continue
@@ -559,7 +629,7 @@ def fit_gain_profile(trace: Trace, kappa_hint: float | None = None) -> FitResult
         raise first_error
     _, p, iterations, r, scale = best
     p[0] = abs(p[0])  # the profile is even in g; report the magnitude
-    result = _result(residuals, p, iterations, r, scale, names)
+    result = _result(residuals, p, iterations, r, scale, names, jacobian)
     kappa = result.params["kappa_e_hz"] + result.params["kappa_i_hz"]
     if result.params["g_hz"] >= kappa / 2.0 * (1.0 - 1e-9):
         raise UnstableFit(

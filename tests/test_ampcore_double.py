@@ -437,6 +437,18 @@ class TestRegimeMapEqualsReference:
         result = pump_regime_map(system, g, pump)
         assert np.array_equal(result.peak_gains_db, expected, equal_nan=True)
 
+    def test_map_is_even_in_the_pump_rate(self):
+        # the response depends on g^2 only, so the internal grid and the
+        # pole tolerance must take |g|: a signed g narrowed both
+        system = random_pair(6e6, 1.3, 0.8, 0.9, 3.0)
+        g = 0.9 * pair_threshold(system)
+        half = 6 * system.J + 6 * max(system.mode_a.kappa, system.mode_b.kappa)
+        pump = 2 * OMEGA0 + np.linspace(-half, half, 301)
+        plus, minus = pump_regime_map(system, g, pump), pump_regime_map(system, -g, pump)
+        assert np.array_equal(minus.peak_gains_db, plus.peak_gains_db, equal_nan=True)
+        assert (minus.single_minus, minus.double, minus.single_plus) == (
+            plus.single_minus, plus.double, plus.single_plus)
+
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
         ka_hz=st.floats(3e5, 3e7),

@@ -301,6 +301,167 @@ class TestSignalOnlyModels:
             model(np.array([7.0e9 - 1e6, 7.0e9 + 1e6]), *args)
 
 
+def richardson_columns(residuals, p, steps):
+    """Columns of the Jacobian of ``residuals`` at p by Richardson-extrapolated
+    central differences, (4 D(h/2) - D(h))/3, with step ``steps[j]`` on p[j]
+    (divided by the step as it is represented, not as it was asked for)."""
+    def central(j, h):
+        up, down = p.copy(), p.copy()
+        up[j] += h
+        down[j] -= h
+        return (residuals(up) - residuals(down)) / (up[j] - down[j])
+
+    return np.column_stack([(4.0 * central(j, h / 2.0) - central(j, h)) / 3.0
+                            for j, h in enumerate(steps)])
+
+
+def assert_columns_match(jac, reference, rtol=1e-7):
+    """Each column within rtol of the reference, relative to the reference
+    column's largest entry."""
+    assert jac.shape == reference.shape
+    for j in range(jac.shape[1]):
+        error = np.max(np.abs(jac[:, j] - reference[:, j]))
+        assert error <= rtol * np.max(np.abs(reference[:, j])), (j, error)
+
+
+_ROWS = st.sampled_from([801, 2001])
+# the fit's center, in linewidths from the grid center, never on it
+_CENTER_OFF_GRID = st.tuples(st.floats(0.1, 2.0), st.sampled_from([-1.0, 1.0])).map(
+    lambda draw: draw[0] * draw[1])
+
+
+def fit_grid(kappa_hz, rows, shift):
+    """A grid of +-4 linewidths around 7 GHz, and a center ``shift``
+    linewidths off it, rounded to the middle between two samples: at
+    eta = 0.5 and g = 0 the signal vanishes on the center."""
+    step = 8.0 / (rows - 1)
+    shift = (math.floor(shift / step) + 0.5) * step
+    return 7.0e9 + kappa_hz * np.linspace(-4.0, 4.0, rows), 7.0e9 + shift * kappa_hz
+
+
+class TestExactJacobians:
+    """The gain-profile and reflection fits take the closed-form Jacobian
+    of their model and never a finite difference."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    # g = 0 exactly, or at least 1e-3 of threshold: below that the g column
+    # (proportional to g) sinks under the rounding of the differences
+    @given(kappa_hz=st.floats(1e5, 1e8), g_frac=st.just(0.0) | st.floats(1e-3, 0.99),
+           eta=st.floats(0.5, 0.99), rows=_ROWS, shift=_CENTER_OFF_GRID)
+    def test_gain_jacobian_matches_central_differences(self, kappa_hz, g_frac, eta,
+                                                       rows, shift):
+        f, center = fit_grid(kappa_hz, rows, shift)
+        p = np.array([g_frac * kappa_hz / 2.0, eta * kappa_hz, (1.0 - eta) * kappa_hz,
+                      center])
+        # steps well inside the narrowest feature: the distance kappa/2 - g
+        # of the nearest pole, or a sample's distance from the nearest zero
+        # of S (the zeros lie on the imaginary w axis, one of them at
+        # kappa_i/2 - sqrt(kappa_e^2/4 + g^2))
+        zero = p[2] / 2.0 - math.hypot(p[1] / 2.0, p[0])
+        h = 1e-3 * min(kappa_hz / 2.0 - p[0], math.hypot(zero, np.min(np.abs(f - p[3]))))
+        reference = richardson_columns(lambda q: calfit._gain_model_db(f, *q), p, [h] * 4)
+        assert_columns_match(calfit._gain_jacobian(f, *p), reference)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(kappa_hz=st.floats(1e5, 1e8), eta=st.floats(0.5, 0.99), rows=_ROWS,
+           shift=_CENTER_OFF_GRID)
+    def test_reflection_jacobian_matches_central_differences(self, kappa_hz, eta,
+                                                             rows, shift):
+        f, center = fit_grid(kappa_hz, rows, shift)
+        p = np.array([center, eta * kappa_hz, (1.0 - eta) * kappa_hz])
+
+        def residuals(q):
+            model = calfit._reflection_model(f, *q)
+            return np.concatenate([model.real, model.imag])
+
+        reference = richardson_columns(residuals, p, [1e-3 * kappa_hz] * 3)
+        assert_columns_match(calfit._reflection_jacobian(f, *p), reference)
+
+    @pytest.fixture
+    def no_finite_differences(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("finite-difference Jacobian evaluated")
+
+        monkeypatch.setattr(calfit, "_jacobian", forbidden)
+
+    FITS = {
+        "gain": (lambda: gain_trace(7.0e9, 10e6, 25e6, 5e6, points=801),
+                 fit_gain_profile, "_gain_model_db", "_gain_jacobian"),
+        "reflection": (lambda: reflection_trace(7.155e9, 19e6, 4e6, points=801),
+                       fit_reflection, "_reflection_model", "_reflection_jacobian"),
+    }
+
+    def test_zero_rate_start_is_rank_deficient(self):
+        # the model is even in g, so its exact g column vanishes at g = 0:
+        # a featureless profile, whose only start has g = 0, reads no
+        # working point (a forward difference saw a spurious slope there)
+        f = np.linspace(7.0e9 - 1e8, 7.0e9 + 1e8, 801)
+        p = np.array([0.0, 27e6, 3e6, 7.0e9])
+        assert not calfit._gain_jacobian(f, *p)[:, 0].any()
+        with pytest.raises(IllConditioned, match="rank-deficient at the initial point"):
+            fit_gain_profile(Trace(x=f, y=np.zeros(801), kind="gain_db"))
+
+    @pytest.mark.parametrize("fit", FITS)
+    def test_fits_take_no_finite_differences(self, no_finite_differences, fit):
+        make_trace, fit_fn, _, _ = self.FITS[fit]
+        result = fit_fn(make_trace())
+        assert result.iterations > 0
+        assert all(math.isfinite(s) for s in result.sigma.values())
+
+    @pytest.mark.parametrize("error", calfit._INFEASIBLE)
+    @pytest.mark.parametrize("fit", FITS)
+    def test_refused_start_keeps_its_type(self, monkeypatch, no_finite_differences,
+                                          fit, error):
+        make_trace, fit_fn, model, _ = self.FITS[fit]
+
+        def refused(*args):
+            raise error("start cannot be evaluated")
+
+        monkeypatch.setattr(calfit, model, refused)
+        with pytest.raises(error, match="^start cannot be evaluated$") as info:
+            fit_fn(make_trace())
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("error", calfit._INFEASIBLE)
+    @pytest.mark.parametrize("fit", FITS)
+    def test_refused_trial_points_are_rejected_steps(self, monkeypatch,
+                                                     no_finite_differences, fit, error):
+        # once a refinement takes its first Jacobian, the model refuses every
+        # other trial point: the fit must step around them to the same optimum
+        make_trace, fit_fn, model_name, jacobian_name = self.FITS[fit]
+        trace = make_trace()
+        free = fit_fn(trace)
+        model, jacobian = getattr(calfit, model_name), getattr(calfit, jacobian_name)
+        refine = calfit.damped_least_squares
+        trials = []  # None while a refinement evaluates its start
+        refusals = []
+
+        def refusing_model(*args):
+            if trials and trials[-1] is not None:
+                trials.append(1)
+                if len(trials) % 2 == 0:
+                    refusals.append(1)
+                    raise error("refused trial point")
+            return model(*args)
+
+        def marking_jacobian(*args):
+            if trials[-1] is None:
+                trials[-1] = 1
+            return jacobian(*args)
+
+        def marking_refine(*args, **kwargs):
+            trials.append(None)
+            return refine(*args, **kwargs)
+
+        monkeypatch.setattr(calfit, model_name, refusing_model)
+        monkeypatch.setattr(calfit, jacobian_name, marking_jacobian)
+        monkeypatch.setattr(calfit, "damped_least_squares", marking_refine)
+        refused = fit_fn(trace)
+        assert len(refusals) > 2
+        for name, value in free.params.items():
+            assert refused.params[name] == pytest.approx(value, rel=1e-8, abs=1e-6), name
+
+
 class TestTraceValidation:
     def test_kind_payload_rules(self):
         with pytest.raises(ValueError):
