@@ -94,8 +94,9 @@ def damped_least_squares(residual_fn, p0, scale, *, overflow, jacobian=None):
     propagates, and such a cost raises NonPhysical(overflow), a message or
     a callable as :func:`errors.finite_or_nonphysical` takes. Returns
     (p, iterations, residuals). Raises IllConditioned if the Jacobian is
-    rank-deficient at the start, NotConverged at the iteration cap and
-    NonPhysical where the normal equations overflow.
+    rank-deficient at the start or a step's damped normal matrix is
+    singular, NotConverged at the iteration cap and NonPhysical where the
+    normal equations overflow.
     """
     p = np.array(p0, dtype=float)
     scale = np.asarray(scale, dtype=float)
@@ -132,7 +133,9 @@ def _iterate(residual_fn, p, r, ssr, scale, overflow, jacobian=None):
             try:
                 dp = np.linalg.solve(JtJ + lam * np.diag(diag), -Jtr)
             except np.linalg.LinAlgError as exc:
-                raise IllConditioned(str(exc)) from exc
+                raise IllConditioned(
+                    f"least-squares step matrix is singular at iteration {iteration} "
+                    f"(damping lambda={lam:g}): {exc}") from exc
             try:
                 r_new = np.asarray(residual_fn(p + dp))
             except _INFEASIBLE:
@@ -546,6 +549,43 @@ def _gain_profile_starts(f, y_db, kappa_hint):
     return starts or [default]
 
 
+_REFINED = 5        # ranked starts refined at most
+_AGREE_RTOL = 1e-9  # sums of squares this close mark the same minimum
+
+
+def _refine_ranked(candidates, refine):
+    """The result of ``refine(start)`` with the lowest sum of squares over
+    the ranked ``candidates``, refined one at a time, best first, up to
+    ``_REFINED`` of them. ``refine`` returns (sum of squares, result) or
+    raises FitError; with no result, the first such error is raised.
+
+    Refinement stops once two starts with different rate seeds (g,
+    kappa_e, kappa_i) reach a sum of squares within ``_AGREE_RTOL``
+    relative of the lowest so far: two basins of attraction then lead to
+    the same minimum (a stopping rule for multistart search, Boender and
+    Rinnooy Kan, Math. Programming 37 (1987) 59). Starts that share a rate
+    seed differ only in the center (the centroid or the extremum, usually
+    within a few grid steps), so their agreement shows nothing about
+    another basin.
+    """
+    best, refined, first_error = None, [], None
+    for start in candidates[:_REFINED]:
+        try:
+            ssr, result = refine(start)
+        except FitError as exc:
+            first_error = first_error or exc
+            continue
+        refined.append((ssr, tuple(start[:3])))
+        if best is None or ssr < best[0]:
+            best = (ssr, result)
+        limit = best[0] * (1.0 + _AGREE_RTOL)
+        if len({seed for cost, seed in refined if cost <= limit}) >= 2:
+            break
+    if best is None:
+        raise first_error
+    return best[1]
+
+
 def fit_gain_profile(trace: Trace, kappa_hint: float | None = None) -> FitResult:
     """Amplifier working point {g_hz, kappa_e_hz, kappa_i_hz, f_center_hz}
     from a gain profile in dB.
@@ -553,12 +593,15 @@ def fit_gain_profile(trace: Trace, kappa_hint: float | None = None) -> FitResult
     Residuals are taken in the dB domain, matching how profiles are
     plotted and weighting the peak region correctly. The deterministic
     starting candidates of :func:`_gain_profile_starts` are ranked by
-    their residual and the few best with a finite one are each refined;
-    the lowest final residual wins (a weak noisy dip has competing local
-    minima that the starting residual alone cannot rank). With no such
-    start, the error at the best-ranked one is raised. kappa_hint [Hz] overrides the
-    seeded linewidths. The profile is even in the pump rate, so g is
-    reported as a magnitude.
+    their residual and those with a finite one are refined best first, up
+    to five; the lowest final residual wins (a weak noisy dip has
+    competing local minima that the starting residual alone cannot rank).
+    Refinement stops once two starts of different rate seeds (g, kappa_e,
+    kappa_i) reach the lowest residual within 1e-9 relative; see
+    :func:`_refine_ranked`. With no refined start, the error at the
+    best-ranked one is raised. kappa_hint [Hz] overrides the seeded
+    linewidths. The profile is even in the pump rate, so g is reported as
+    a magnitude.
 
     Raises UnstableFit when the converged pump rate sits on the
     oscillation boundary g = kappa/2 (reported, not clamped).
@@ -586,8 +629,8 @@ def fit_gain_profile(trace: Trace, kappa_hint: float | None = None) -> FitResult
 
     # a weak noisy profile has competing local minima (true working point,
     # g ~ 0 dip, flat response); initial residuals cannot always rank the
-    # basins, so the few best feasible candidates are each refined and the
-    # lowest final residual wins
+    # basins, so feasible candidates are refined best first until two of
+    # distinct rate seeds reach the lowest residual (see _refine_ranked)
     starts = _gain_profile_starts(f, y_db, kappa_hint)
 
     def ranked_starts():
@@ -604,30 +647,22 @@ def fit_gain_profile(trace: Trace, kappa_hint: float | None = None) -> FitResult
     def no_finite_start(_):
         return f"gain fit has no finite residual at any start (gain down to {np.min(y_db):g} dB)"
 
-    # one guard over the whole ranking: a cost that overflows is infinite, not a warning
-    candidates = _finite(ranked_starts, no_finite_start)
-    names = ("g_hz", "kappa_e_hz", "kappa_i_hz", "f_center_hz")
-    best = None
-    first_error = None
-    for g0, ke0, ki0, f_center in candidates[:5]:
+    def refine(start):
+        g0, ke0, ki0, f_center = start
         kappa0 = ke0 + ki0
         p0 = [g0, ke0, max(ki0, 1e-4 * ke0), f_center]
         # all three rates vary on the scale of the total linewidth,
         # however lopsided the starting split is
         scale = np.array([kappa0 / 2.0, kappa0, kappa0, span])
-        try:
-            p, iterations, r = damped_least_squares(residuals, p0, scale=scale,
-                                                    overflow=no_finite_start,
-                                                    jacobian=jacobian)
-        except FitError as exc:
-            first_error = first_error or exc
-            continue
-        ssr = float(np.asarray(r) @ np.asarray(r))
-        if best is None or ssr < best[0]:
-            best = (ssr, p, iterations, r, scale)
-    if best is None:
-        raise first_error
-    _, p, iterations, r, scale = best
+        p, iterations, r = damped_least_squares(residuals, p0, scale=scale,
+                                                overflow=no_finite_start,
+                                                jacobian=jacobian)
+        return float(r @ r), (p, iterations, r, scale)
+
+    # one guard over the whole ranking: a cost that overflows is infinite, not a warning
+    candidates = _finite(ranked_starts, no_finite_start)
+    names = ("g_hz", "kappa_e_hz", "kappa_i_hz", "f_center_hz")
+    p, iterations, r, scale = _refine_ranked(candidates, refine)
     p[0] = abs(p[0])  # the profile is even in g; report the magnitude
     result = _result(residuals, p, iterations, r, scale, names, jacobian)
     kappa = result.params["kappa_e_hz"] + result.params["kappa_i_hz"]

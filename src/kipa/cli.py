@@ -22,7 +22,7 @@ import numpy as np
 # every command emits through datio; ampcore, calfit, noise and oracle are
 # imported inside the commands that run them, so a call loads only those
 from . import datio
-from .errors import KipaError, ParseError, SchemaMismatch, UnitError
+from .errors import IllConditioned, KipaError, ParseError, SchemaMismatch, UnitError
 from .params import (
     CoupledSystem,
     NoiseChain,
@@ -322,6 +322,11 @@ def cmd_fit(args) -> int:
 
     kind, fit_call, units = _FITS[args.command]
     fit = fit_call(calfit, datio.load_trace(args.trace, kind), args)
+    # a record holds finite numbers only; the library reports sigma = inf
+    singular = [name for name, value in fit.sigma.items() if not math.isfinite(value)]
+    if singular:
+        raise IllConditioned(f"fit covariance is singular: sigma of {', '.join(singular)} "
+                             "is not finite")
     outputs = {name: (value, units.get(name, "1")) for name, value in fit.params.items()}
     for name, value in fit.sigma.items():
         outputs["sigma_" + name] = (value, units.get(name, "1"))

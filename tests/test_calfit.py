@@ -710,6 +710,123 @@ class TestFitGainProfile:
             fit_gain_profile(trace)
 
 
+def refine_all_five(candidates, refine):
+    """The gain fit's refinement without a stopping rule: each of the five
+    best-ranked starts is refined and the lowest sum of squares wins."""
+    best, first_error = None, None
+    for start in candidates[:5]:
+        try:
+            ssr, result = refine(start)
+        except calfit.FitError as exc:
+            first_error = first_error or exc
+            continue
+        if best is None or ssr < best[0]:
+            best = (ssr, result)
+    if best is None:
+        raise first_error
+    return best[1]
+
+
+def counted_fit(trace, refine_ranked=None):
+    """(fit_gain_profile(trace), number of starts refined), the refinement
+    replaced by ``refine_ranked`` if given."""
+    calls = []
+    lm = calfit.damped_least_squares
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lm(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calfit, "damped_least_squares", counted)
+        if refine_ranked is not None:
+            mp.setattr(calfit, "_refine_ranked", refine_ranked)
+        return fit_gain_profile(trace), len(calls)
+
+
+def reference_fit_gain_profile(trace):
+    """fit_gain_profile refining all five best-ranked starts."""
+    return counted_fit(trace, refine_all_five)[0]
+
+
+def assert_same_minimum(fit, reference, sigma_rtol=None):
+    """The same sum of squares within 1e-9 relative, every parameter within
+    1e-3 sigma and, if ``sigma_rtol`` is given, every sigma within it."""
+    assert fit.residual_rms**2 == pytest.approx(reference.residual_rms**2, rel=1e-9, abs=0)
+    for name, value in reference.params.items():
+        assert abs(fit.params[name] - value) <= 1e-3 * reference.sigma[name], name
+        if sigma_rtol is not None:
+            assert fit.sigma[name] == pytest.approx(reference.sigma[name], rel=sigma_rtol), name
+
+
+class TestRefinementStoppingRule:
+    @staticmethod
+    def scripted(costs):
+        """A refine() returning the scripted sum of squares of each start, or
+        raising NotConverged where it is None; and the list of refined starts."""
+        refined = []
+
+        def refine(start):
+            refined.append(start)
+            if costs[start] is None:
+                raise calfit.NotConverged(f"start {start}")
+            return costs[start], start
+        return refine, refined
+
+    def test_distinct_seeds_that_agree_stop_the_search(self):
+        a, b, c = (1.0, 2.0, 3.0, 7e9), (1.5, 2.0, 3.0, 7e9), (2.0, 2.0, 3.0, 7e9)
+        refine, refined = self.scripted({a: 1.0, b: 1.0 + 5e-10, c: 0.5})
+        assert calfit._refine_ranked([a, b, c], refine) == a
+        assert refined == [a, b]
+
+    def test_one_seed_on_two_centers_proves_nothing(self):
+        a, a2 = (1.0, 2.0, 3.0, 7e9), (1.0, 2.0, 3.0, 7e9 + 3e3)
+        b, c, d = ((g, 2.0, 3.0, 7e9) for g in (1.5, 2.0, 2.5))
+        refine, refined = self.scripted({a: 1.0, a2: 1.0, b: 0.9, c: 0.9 * (1 + 2e-9), d: 0.8})
+        assert calfit._refine_ranked([a, a2, b, c, d], refine) == d
+        assert refined == [a, a2, b, c, d]
+
+    def test_a_lower_minimum_restarts_the_agreement(self):
+        a, b, c, d = ((g, 2.0, 3.0, 7e9) for g in (1.0, 1.5, 2.0, 2.5))
+        refine, refined = self.scripted({a: 1.0, b: 0.5, c: 0.5, d: 0.1})
+        assert calfit._refine_ranked([a, b, c, d], refine) == b
+        assert refined == [a, b, c]
+
+    def test_failed_refinements_are_skipped_and_the_first_is_raised(self):
+        a, b, c = ((g, 2.0, 3.0, 7e9) for g in (1.0, 1.5, 2.0))
+        refine, refined = self.scripted({a: None, b: 2.0, c: 2.0})
+        assert calfit._refine_ranked([a, b, c], refine) == b
+        refine, refined = self.scripted({a: None, b: None})
+        with pytest.raises(calfit.NotConverged, match=r"start \(1\.0"):
+            calfit._refine_ranked([a, b], refine)
+        assert refined == [a, b]
+
+    def test_weak_dips_reach_the_five_start_minimum(self):
+        # weak, noisy dips have competing minima (kappa_e and kappa_i swap
+        # near eta = 0.5); stopping when any two starts agree loses some
+        rng = np.random.default_rng(2026)
+        for _ in range(200):
+            kappa = 10 ** rng.uniform(5.0, 7.5)
+            frac, eta = rng.uniform(0.0, 0.3), rng.uniform(0.5, 0.8)
+            trace = gain_trace(rng.uniform(4e9, 8e9), frac * kappa / 2, eta * kappa,
+                               (1 - eta) * kappa, points=int(rng.choice([201, 401, 801])),
+                               noise_db=rng.uniform(0.02, 0.2), rng=rng)
+            assert_same_minimum(fit_gain_profile(trace), reference_fit_gain_profile(trace))
+
+    def test_calibration_devices_take_two_refinements(self):
+        # amplifier profiles as the calibration benchmark draws them:
+        # g/(kappa/2) 0.8-0.97, eta 0.7-0.95, 0.02 dB noise over f0 +- 3 kappa
+        rng = np.random.default_rng(77)
+        for points in (801, 2001, 8001, 2001, 2001) * 6:
+            kappa = 10 ** rng.uniform(7.0, math.log10(4e7))
+            frac, eta = rng.uniform(0.8, 0.97), rng.uniform(0.7, 0.95)
+            trace = gain_trace(rng.uniform(6.5e9, 7.8e9), frac * kappa / 2, eta * kappa,
+                               (1 - eta) * kappa, points=points, noise_db=0.02, rng=rng)
+            fit, refined = counted_fit(trace)
+            assert refined <= 2
+            assert_same_minimum(fit, reference_fit_gain_profile(trace), sigma_rtol=1e-4)
+
+
 class TestFitNoiseTemperature:
     OMEGA = 2 * math.pi * 7.155e9
 

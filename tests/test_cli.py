@@ -517,6 +517,35 @@ class TestFitCommands:
         assert outputs["f0_hz"]["value"] == pytest.approx(7.155e9, rel=1e-6)
         assert outputs["kappa_e_hz"]["value"] == pytest.approx(19e6, rel=1e-4)
 
+    def test_singular_step_is_named(self, capsys, tmp_path, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        path = tmp_path / "refl.csv"
+        save_trace(Trace(x=REFLECTION_DIP[0], y=REFLECTION_DIP[1], kind="reflection"), path)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        code, out, err = run_cli(capsys, ["fit-resonance", str(path)])
+        assert (code, out) == (3, "")
+        assert err == ("kipa: least-squares step matrix is singular at iteration 1 "
+                       "(damping lambda=0.001): Singular matrix\n")
+
+    def test_singular_covariance_is_named(self, capsys, tmp_path, monkeypatch):
+        from kipa import calfit
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        path = tmp_path / "refl.csv"
+        trace = Trace(x=REFLECTION_DIP[0], y=REFLECTION_DIP[1], kind="reflection")
+        save_trace(trace, path)
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        # the library reports the singular covariance as sigma = inf
+        assert set(calfit.fit_reflection(trace).sigma.values()) == {math.inf}
+        code, out, err = run_cli(capsys, ["fit-resonance", str(path)])
+        assert (code, out) == (3, "")
+        assert err == ("kipa: fit covariance is singular: sigma of f0_hz, kappa_e_hz, "
+                       "kappa_i_hz is not finite\n")
+
     def test_fit_missing_file_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, ["fit-resonance", "missing.csv"])
         assert code == 2
