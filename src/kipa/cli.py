@@ -144,7 +144,7 @@ def cmd_gain(args) -> int:
     half = hz_to_angular(args.span_hz) / 2.0
     grid = np.linspace(-half, half, args.points)
     delta = hz_to_angular(args.delta_hz)
-    signal, idler = ampcore.single_mode_gain(res, g, delta, args.phi_rad, grid)
+    signal, _ = ampcore.single_mode_gain(res, g, delta, 0.0, grid)
     gain_db = signal.power_db
     i_peak = int(np.argmax(gain_db))
     biased = res.omega0 + ampcore.bias_frequency_shift(
@@ -198,7 +198,7 @@ def cmd_double_gain(args) -> int:
     else:
         half = 3.0 * system.J + 3.0 * max(system.mode_a.kappa, system.mode_b.kappa)
     grid = np.linspace(-half, half, args.points)
-    gains = ampcore.double_mode_gain_bare(system, g, 0.0, 0.0, args.phi_rad, grid)
+    gains = ampcore.double_mode_gain_bare(system, g, 0.0, 0.0, 0.0, grid)
     gain_db = gains.signal_a.power_db
     peaks = ampcore.find_peaks_db(gain_db, prominence_db=3.0)
     peak_offsets = [float(angular_to_hz(grid[i])) for i in peaks]
@@ -207,7 +207,7 @@ def cmd_double_gain(args) -> int:
     )
     if args.out:
         emit_plot_data(angular_to_hz(grid), gain_db, args.out)
-    modes = ampcore.hybridize(system, form=cfg.hybridization_form)
+    modes = ampcore.hybridize(system)
     _print_record(args, {
         "g_hz": (angular_to_hz(g), "Hz"),
         "pair_threshold_hz": (angular_to_hz(ampcore.pair_threshold(system)), "Hz"),
@@ -332,8 +332,6 @@ def cmd_fit(args) -> int:
         outputs["sigma_" + name] = (value, units.get(name, "1"))
     outputs["residual_rms"] = (fit.residual_rms, "1")
     outputs["iterations"] = (fit.iterations, "1")
-    # constant: a fit that does not converge raises NotConverged instead
-    outputs["converged"] = (True, "1")
     _print_record(args, outputs)
     return 0
 
@@ -406,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_points, default=1001)
     p.add_argument("--delta-hz", type=_hz, default=0.0,
                    help="mode detuning from half the pump, Hz")
-    p.add_argument("--phi-rad", type=_finite, default=0.0)
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(func=cmd_gain)
 
@@ -423,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_g(p)
     p.add_argument("--span-hz", type=_positive_hz, default=None)
     p.add_argument("--points", type=_points, default=2001)
-    p.add_argument("--phi-rad", type=_finite, default=0.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_double_gain)
 

@@ -134,9 +134,6 @@ def save_trace(trace: Trace, path) -> None:
 # Device configuration
 # ---------------------------------------------------------------------------
 
-HYBRIDIZATION_FORMS = ("as_printed", "standard")
-
-
 @dataclass(frozen=True)
 class DeviceConfig:
     """Full device description with internal angular units."""
@@ -146,7 +143,6 @@ class DeviceConfig:
     auxiliary: ResonatorParams  # linear mode
     J: float                    # coupling rate [rad/s]
     pump: PumpConfig
-    hybridization_form: str = "as_printed"
 
     def coupled_system(self) -> CoupledSystem:
         return CoupledSystem(mode_a=self.ring, mode_b=self.auxiliary, J=self.J)
@@ -154,16 +150,14 @@ class DeviceConfig:
 
 _RESONATOR_KEYS = ("f0_hz", "kappa_e_hz", "kappa_i_hz")
 _FILM_REQUIRED = ("l0_h", "i_star_a")
-_FILM_OPTIONAL = ("l_sheet_h_per_sq",)
 _PUMP_REQUIRED = ("f_p_hz", "phi_p_rad", "i_dc_a", "drive")
 _DRIVE_KEYS = ("g_hz", "p_p_w", "z_ref_ohm", "cal")
 _TOP_REQUIRED = ("film", "ring", "auxiliary", "j_hz", "pump")
-_TOP_OPTIONAL = ("conventions",)
 
 # key stems of every known unit-suffixed key, for the missing-suffix check
 _KNOWN_STEMS = {
     "f0": "f0_hz", "kappa_e": "kappa_e_hz", "kappa_i": "kappa_i_hz",
-    "l0": "l0_h", "i_star": "i_star_a", "l_sheet": "l_sheet_h_per_sq",
+    "l0": "l0_h", "i_star": "i_star_a",
     "f_p": "f_p_hz", "phi_p": "phi_p_rad", "i_dc": "i_dc_a", "j": "j_hz",
     "g": "g_hz", "p_p": "p_p_w", "z_ref": "z_ref_ohm",
 }
@@ -227,16 +221,12 @@ def load_config(path) -> DeviceConfig:
             raise ParseError(exc.msg, line=exc.lineno) from exc
     if not isinstance(doc, dict):
         raise ParseError("config must be a JSON object")
-    _section(doc, "config", _TOP_REQUIRED, _TOP_OPTIONAL)
+    _section(doc, "config", _TOP_REQUIRED)
 
-    film_obj = _section(doc["film"], "config.film", _FILM_REQUIRED, _FILM_OPTIONAL)
+    film_obj = _section(doc["film"], "config.film", _FILM_REQUIRED)
     film = KineticFilm(
         L0=_number(film_obj, "l0_h", "config.film"),
         I_star=_number(film_obj, "i_star_a", "config.film"),
-        L_sheet=(
-            _number(film_obj, "l_sheet_h_per_sq", "config.film")
-            if "l_sheet_h_per_sq" in film_obj else None
-        ),
     )
 
     ring = _resonator(doc["ring"], "config.ring")
@@ -266,22 +256,12 @@ def load_config(path) -> DeviceConfig:
             cal=_number(drive, "cal", "config.pump.drive"),
         )
 
-    conv = _section(doc.get("conventions", {}), "config.conventions",
-                    optional=("hybridization_form",))
-    form = conv.get("hybridization_form", "as_printed")
-    if form not in HYBRIDIZATION_FORMS:
-        raise ParseError(
-            f"config.conventions.hybridization_form: must be one of "
-            f"{HYBRIDIZATION_FORMS}, got {form!r}"
-        )
-
     return DeviceConfig(
         film=film,
         ring=ring,
         auxiliary=auxiliary,
         J=hz_to_angular(_number(doc, "j_hz", "config")),
         pump=pump,
-        hybridization_form=form,
     )
 
 

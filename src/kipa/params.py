@@ -129,22 +129,17 @@ class KineticFilm:
         Inductance at zero current [H].
     I_star : float
         Nonlinearity scale current [A]; of order the film critical current.
-    L_sheet : float, optional
-        Sheet inductance [H/square]; metadata only.
     """
 
     L0: float
     I_star: float
-    L_sheet: float | None = None
 
     def __post_init__(self):
-        _require_finite(self, "L0", "I_star", "L_sheet")
+        _require_finite(self, "L0", "I_star")
         if not self.L0 > 0:
             raise ValueError(f"L0 must be > 0, got {self.L0!r}")
         if not self.I_star > 0:
             raise ValueError(f"I_star must be > 0, got {self.I_star!r}")
-        if self.L_sheet is not None and not self.L_sheet > 0:
-            raise ValueError(f"L_sheet must be > 0, got {self.L_sheet!r}")
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,28 @@ class TestStabilityDouble:
         assert report.margin.tolist() == (threshold - g).tolist()
         assert type(report.threshold) is float and report.threshold == threshold
 
+    # the README device at the anticrossing: kappa = 23 MHz, eta = 19/23 on
+    # both modes, J = 21.5 MHz, pumped at g = 24 MHz
+    README_PAIR = make_pair(kappa_a_hz=23e6, kappa_b_hz=23e6, j_over_kappa=21.5 / 23,
+                            eta_a=19 / 23, eta_b=19 / 23)
+    README_G = 2 * math.pi * 24e6
+
+    def test_readme_pair_self_oscillates_between_the_two_bounds(self):
+        system, g = self.README_PAIR, self.README_G
+        a, b = system.mode_a, system.mode_b
+        c0_bound = a.kappa * (1 + 4 * system.J**2 / (a.kappa * b.kappa)) / 2
+        assert pair_threshold(system) == pytest.approx(2 * math.pi * 23e6, rel=1e-12)
+        assert c0_bound == pytest.approx(2 * math.pi * 51.7e6, rel=1e-3)
+        growth = np.linalg.eigvals(bare_drift(system, g)).real.max() / a.kappa
+        assert growth == pytest.approx(0.0217, abs=1e-4)
+
+    @pytest.mark.xfail(strict=True, reason="stability_double checks only the "
+                       "zero-frequency C0 bound, not the pair's growing eigenvalue")
+    def test_self_oscillating_pair_is_not_stable(self):
+        """The drift above has an eigenvalue with Re = +0.0217 kappa_a, yet
+        g lies below the C0 bound, so stability_double reports it stable."""
+        assert not stability_double(self.README_PAIR, self.README_G).stable
+
 
 class TestHybridize:
     def test_degenerate_point_splits_by_2j(self):

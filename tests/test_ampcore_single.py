@@ -29,7 +29,7 @@ from kipa import (
     susceptibility,
 )
 
-FILM = KineticFilm(L0=251e-9, I_star=5.86e-3, L_sheet=30e-12)
+FILM = KineticFilm(L0=251e-9, I_star=5.86e-3)
 
 
 def make_res(kappa_hz=32e6, eta=1.0, f0=7.155e9):

@@ -138,7 +138,7 @@ class TestGainCommand:
 
     @pytest.mark.parametrize("flag,value", [
         ("--delta-hz", "nan"), ("--delta-hz", "inf"), ("--delta-hz=-inf", None),
-        ("--phi-rad", "nan"), ("--g-hz", "inf"), ("--g-over-threshold", "nan"),
+        ("--g-hz", "inf"), ("--g-over-threshold", "nan"),
         ("--span-hz", "inf"),
     ])
     def test_non_finite_flag_is_validation_error(self, config_path, capsys, flag,
@@ -148,6 +148,15 @@ class TestGainCommand:
             main(argv)
         assert exc.value.code == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gain", "double-gain"])
+    def test_removed_phase_flag_is_validation_error(self, config_path, capsys, command):
+        """--phi-rad set only the idler's phase, which neither command
+        reports; it is no longer an option."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", config_path, "--phi-rad", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --phi-rad 0" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, ["gain", "--config", "nope.json"])
@@ -846,6 +855,73 @@ def test_trace_commands_keep_the_exit_contract(capfd, tmp_path, case):
         assert err.startswith("kipa: ") and err.count("\n") == 1, err
 
 
+# every numeric config field, by its path in the document
+CONFIG_NUMBERS = [("film", "l0_h"), ("film", "i_star_a"), ("j_hz",),
+                  *((mode, key) for mode in ("ring", "auxiliary")
+                    for key in ("f0_hz", "kappa_e_hz", "kappa_i_hz")),
+                  ("pump", "f_p_hz"), ("pump", "phi_p_rad"), ("pump", "i_dc_a")]
+DRIVE_NUMBERS = {"g_hz": [("pump", "drive", "g_hz")],
+                 "power": [("pump", "drive", key) for key in POWER_DRIVE]}
+# how a field's value is changed: scaled by a power of ten, also negated, or
+# zeroed; a zero base value is replaced by the factor itself
+_CHANGES = st.sampled_from(["scale", "scale", "negate", "zero"])
+CONFIG_COMMANDS = [["gain"], ["phase"], ["double-gain"], ["regime-map", "--pump-points", "21"],
+                   ["stability"]]
+
+
+@st.composite
+def config_cases(draw):
+    """(argv, config): DEVICE with either drive and one to three numeric
+    fields scaled by up to 1e300 or 1e-300 (capped at 1e300 in magnitude),
+    negated or zeroed, and a config command, given --g-over-threshold where
+    it takes one."""
+    doc = json.loads(json.dumps(DEVICE))
+    drive = draw(st.sampled_from(sorted(DRIVE_NUMBERS)))
+    if drive == "power":
+        doc["pump"]["drive"] = dict(POWER_DRIVE)
+    paths = draw(st.lists(st.sampled_from(CONFIG_NUMBERS + DRIVE_NUMBERS[drive]),
+                          min_size=1, max_size=3))
+    for path in paths:
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        base, change, factor = section[path[-1]], draw(_CHANGES), draw(_FACTOR)
+        value = float(scaled(base, factor)) if base else factor
+        section[path[-1]] = {"scale": value, "negate": -value, "zero": 0.0}[change]
+    argv = list(draw(st.sampled_from(CONFIG_COMMANDS)))
+    if argv[0] != "stability" and draw(st.booleans()):
+        argv += ["--g-over-threshold", repr(draw(st.sampled_from([0.0, 0.5, 0.999])))]
+    return argv, doc
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=config_cases())
+def test_config_commands_keep_the_exit_contract(capfd, tmp_path, case):
+    """On configs of extreme but finite numbers each config command exits 0
+    with one strict JSON record, or 2 or 3 with empty stdout, and it prints
+    no warning, traceback or internal error."""
+    argv, doc = case
+    path = tmp_path / "device.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capfd.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([argv[0], "--config", str(path), *argv[1:]])
+    out, err = capfd.readouterr()
+    assert [str(w.message) for w in caught] == []
+    for text in ("Warning", "Traceback", "internal error"):
+        assert text not in err
+    assert code in (0, 2, 3), err
+    if code == 0:
+        record = json.loads(out, parse_constant=lambda name: pytest.fail(name))
+        assert record["operation"] == argv[0]
+        assert out == datio.record_to_json(record)
+    else:
+        assert out == ""
+        assert err.startswith("kipa: ") and err.count("\n") == 1, err
+
+
 class TestOracleCheckCommand:
     def test_passes_and_is_byte_identical(self, capsys):
         code1, out1, _ = run_cli(capsys, ["oracle-check", "--draws", "50",
@@ -1019,8 +1095,7 @@ def noise_argv(flag):
 SIGNED_FLAGS = [
     ("--delta-hz", "-1e6", ["gain", "--config", "{d}/dev.json", "--points", "11"]),
     ("--delta-hz", "-2.5E+6", ["gain", "--config", "{d}/dev.json", "--points", "11"]),
-    ("--phi-rad", "-1e-3", ["gain", "--config", "{d}/dev.json", "--points", "11"]),
-    ("--phi-rad", "-.5e1", ["double-gain", "--config", "{d}/dev.json", "--points", "11"]),
+    ("--delta-hz", "-.5e1", ["gain", "--config", "{d}/dev.json", "--points", "11"]),
     *((flag, "-1e-3", noise_argv(flag)) for flag in NOISE_FLAGS if flag != "--f-hz"),
     ("--seed", "-1e6", ["oracle-check", "--draws", "3"]),
 ]

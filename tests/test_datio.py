@@ -25,7 +25,7 @@ from kipa.datio import TRACE_COLUMNS, inputs_digest, record_to_json
 from kipa.params import GridOrderError, KineticFilm, PumpConfig, ResonatorParams, hz_to_angular
 
 GOOD_CONFIG = {
-    "film": {"l0_h": 2.51e-7, "i_star_a": 5.86e-3, "l_sheet_h_per_sq": 3.0e-11},
+    "film": {"l0_h": 2.51e-7, "i_star_a": 5.86e-3},
     "ring": {"f0_hz": 7.4e9, "kappa_e_hz": 1.9e7, "kappa_i_hz": 4.0e6},
     "auxiliary": {"f0_hz": 7.03e9, "kappa_e_hz": 1.9e7, "kappa_i_hz": 4.0e6},
     "j_hz": 2.15e7,
@@ -33,7 +33,6 @@ GOOD_CONFIG = {
         "f_p_hz": 1.431e10, "phi_p_rad": 0.0, "i_dc_a": 1.575e-3,
         "drive": {"p_p_w": 4.2e-6, "z_ref_ohm": 50.0, "cal": 1.0},
     },
-    "conventions": {"hybridization_form": "as_printed"},
 }
 
 
@@ -193,22 +192,17 @@ def reference_load_config(path):
             raise ParseError(exc.msg, line=exc.lineno) from exc
     if not isinstance(doc, dict):
         raise ParseError("config must be a JSON object")
-    _reference_reject_unknown(doc, datio._TOP_REQUIRED + datio._TOP_OPTIONAL, "config")
+    _reference_reject_unknown(doc, datio._TOP_REQUIRED, "config")
     _reference_require(doc, datio._TOP_REQUIRED, "config")
 
     film_obj = doc["film"]
     if not isinstance(film_obj, dict):
         raise ParseError("config.film: must be an object")
-    _reference_reject_unknown(film_obj, datio._FILM_REQUIRED + datio._FILM_OPTIONAL,
-                              "config.film")
+    _reference_reject_unknown(film_obj, datio._FILM_REQUIRED, "config.film")
     _reference_require(film_obj, datio._FILM_REQUIRED, "config.film")
     film = KineticFilm(
         L0=number(film_obj, "l0_h", "config.film"),
         I_star=number(film_obj, "i_star_a", "config.film"),
-        L_sheet=(
-            number(film_obj, "l_sheet_h_per_sq", "config.film")
-            if "l_sheet_h_per_sq" in film_obj else None
-        ),
     )
 
     ring = _reference_resonator(doc["ring"], "config.ring")
@@ -246,58 +240,38 @@ def reference_load_config(path):
             f"got {sorted(drive)}"
         )
 
-    form = "as_printed"
-    if "conventions" in doc:
-        conv = doc["conventions"]
-        if not isinstance(conv, dict):
-            raise ParseError("config.conventions: must be an object")
-        _reference_reject_unknown(conv, ("hybridization_form",), "config.conventions")
-        if "hybridization_form" in conv:
-            form = conv["hybridization_form"]
-            if form not in datio.HYBRIDIZATION_FORMS:
-                raise ParseError(
-                    f"config.conventions.hybridization_form: must be one of "
-                    f"{datio.HYBRIDIZATION_FORMS}, got {form!r}"
-                )
-
     return datio.DeviceConfig(
         film=film,
         ring=ring,
         auxiliary=auxiliary,
         J=hz_to_angular(number(doc, "j_hz", "config")),
         pump=pump,
-        hybridization_form=form,
     )
 
 
 # config sections by path, and the numeric fields of each
 _SECTIONS = {
     (): ("j_hz",),
-    ("film",): ("l0_h", "i_star_a", "l_sheet_h_per_sq"),
+    ("film",): ("l0_h", "i_star_a"),
     ("ring",): ("f0_hz", "kappa_e_hz", "kappa_i_hz"),
     ("auxiliary",): ("f0_hz", "kappa_e_hz", "kappa_i_hz"),
     ("pump",): ("f_p_hz", "phi_p_rad", "i_dc_a"),
     ("pump", "drive"): ("g_hz", "p_p_w", "z_ref_ohm", "cal"),
-    ("conventions",): (),
 }
 _NOT_OBJECTS = (None, 1.0, "film", [], [1.0])
 _BAD_NUMBERS = (math.nan, math.inf, -math.inf, "nan", "x", None, [], {}, -1.0, 0.0, 1e308)
 _BAD_DRIVES = ({}, {"g_hz": 5e6, "p_p_w": 1e-6}, {"p_p_w": 1e-6, "cal": 1.0},
                {"g_hz": 5e6, "cal": 1.0}, {"g": 5e6}, {"g_hz": 5e6, "kerr_k": 1.0})
-_BAD_FORMS = ("approximate", None, 3, ["standard"], "Standard")
 
 
 @st.composite
 def faulty_configs(draw):
     """A good config, with either drive, given one or two faults: a section
     of the wrong type, an unknown, Kerr or unsuffixed key, a missing key, a
-    non-finite, non-numeric or out-of-range number, a bad drive set or a bad
-    hybridization form."""
+    non-finite, non-numeric or out-of-range number or a bad drive set."""
     doc = json.loads(json.dumps(GOOD_CONFIG))
     if draw(st.booleans()):
         doc["pump"]["drive"] = {"g_hz": 5.0e6}
-    if draw(st.booleans()):
-        del doc["conventions"]
     for _ in range(draw(st.integers(1, 2))):
         path = draw(st.sampled_from(sorted(_SECTIONS)))
         parent, section = None, doc
@@ -306,7 +280,7 @@ def faulty_configs(draw):
         if not isinstance(section, dict):
             continue
         fault = draw(st.sampled_from(["type", "unknown", "missing", "suffix", "kerr",
-                                      "number", "drive", "form"]))
+                                      "number", "drive"]))
         keys = sorted(section)
         if fault == "type" and path:
             parent[path[-1]] = draw(st.sampled_from(_NOT_OBJECTS))
@@ -326,10 +300,6 @@ def faulty_configs(draw):
             section[draw(st.sampled_from(_SECTIONS[path]))] = draw(st.sampled_from(_BAD_NUMBERS))
         elif fault == "drive" and isinstance(doc.get("pump"), dict):
             doc["pump"]["drive"] = dict(draw(st.sampled_from(_BAD_DRIVES)))
-        elif fault == "form":
-            conventions = doc.setdefault("conventions", {})
-            if isinstance(conventions, dict):
-                conventions["hybridization_form"] = draw(st.sampled_from(_BAD_FORMS))
     return doc
 
 
@@ -560,7 +530,6 @@ class TestConfig:
         assert cfg.ring.omega0 == pytest.approx(2 * math.pi * 7.4e9)
         assert cfg.J == pytest.approx(2 * math.pi * 2.15e7)
         assert cfg.film.I_star == 5.86e-3
-        assert cfg.hybridization_form == "as_printed"
         system = cfg.coupled_system()
         assert system.J == cfg.J
 
@@ -627,22 +596,20 @@ class TestConfig:
         with pytest.raises(ParseError):
             load_config(path)
 
-    def test_standard_hybridization_form(self, tmp_path):
+    @pytest.mark.parametrize("section,key,value", [
+        ((), "conventions", {"hybridization_form": "as_printed"}),
+        (("film",), "l_sheet_h_per_sq", 3.0e-11),
+    ], ids=["conventions", "l_sheet_h_per_sq"])
+    def test_removed_key_is_an_unknown_field(self, tmp_path, section, key, value):
+        """The schema dropped these keys, which no output read: a config that
+        still carries one is refused, not silently accepted."""
         doc = json.loads(json.dumps(GOOD_CONFIG))
-        doc["conventions"]["hybridization_form"] = "standard"
-        cfg = load_config(write_config(tmp_path, doc))
-        assert cfg.hybridization_form == "standard"
-
-    def test_conventions_block_optional(self, tmp_path):
-        doc = json.loads(json.dumps(GOOD_CONFIG))
-        del doc["conventions"]
-        cfg = load_config(write_config(tmp_path, doc))
-        assert cfg.hybridization_form == "as_printed"
-
-    def test_bad_hybridization_form(self, tmp_path):
-        doc = json.loads(json.dumps(GOOD_CONFIG))
-        doc["conventions"]["hybridization_form"] = "approximate"
-        with pytest.raises(ParseError):
+        target = doc
+        for name in section:
+            target = target[name]
+        target[key] = value
+        context = ".".join(("config", *section))
+        with pytest.raises(SchemaMismatch, match=f"^{context}: unknown field {key!r}$"):
             load_config(write_config(tmp_path, doc))
 
     def test_mixed_drive_rejected(self, tmp_path):

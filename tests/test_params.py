@@ -44,14 +44,12 @@ def test_lossless_mode_allowed():
 
 
 def test_film_validation():
-    film = KineticFilm(L0=251e-9, I_star=5.86e-3, L_sheet=30e-12)
+    film = KineticFilm(L0=251e-9, I_star=5.86e-3)
     assert film.L0 == 251e-9
     with pytest.raises(ValueError):
         KineticFilm(L0=0.0, I_star=1.0)
     with pytest.raises(ValueError):
         KineticFilm(L0=1.0, I_star=0.0)
-    with pytest.raises(ValueError):
-        KineticFilm(L0=1.0, I_star=1.0, L_sheet=-1.0)
 
 
 def test_pump_drive_exclusivity():
@@ -128,7 +126,6 @@ _NON_FINITE_CASES = [
     *[(lambda v, f=f: ResonatorParams(**{**_RES, f: v}), f) for f in _RES],
     (lambda v: KineticFilm(L0=v, I_star=1.0), "L0"),
     (lambda v: KineticFilm(L0=1.0, I_star=v), "I_star"),
-    (lambda v: KineticFilm(L0=1.0, I_star=1.0, L_sheet=v), "L_sheet"),
     (lambda v: PumpConfig(omega_p=v, g=1.0), "omega_p"),
     (lambda v: PumpConfig(omega_p=1.0, phi_p=v, g=1.0), "phi_p"),
     (lambda v: PumpConfig(omega_p=1.0, I_dc=v, g=1.0), "I_dc"),
