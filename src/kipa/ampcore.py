@@ -97,7 +97,7 @@ class SingleModeStability:
 class DoubleModeStability:
     stable: bool
     cooperativity: float  # C0 = 4 J^2 / (kappa_a * kappa_b)
-    threshold: float      # kappa_a (1 + C0) / 2 [rad/s]
+    threshold: float      # min(kappa_a (1 + C0), kappa_a + kappa_b) / 2 [rad/s]
     margin: float         # threshold - |g| [rad/s]
 
 
@@ -116,34 +116,43 @@ def _single_stability(kappa, g) -> SingleModeStability:
 
 
 def stability_double(system: CoupledSystem, g: float) -> DoubleModeStability:
-    """Coupled-system threshold: ``stable`` is |g| < kappa_a*(1 + C0)/2.
+    """Oscillation threshold of the coupled pair: ``stable`` is
+    |g| < min(kappa_a (1 + C0), kappa_a + kappa_b)/2.
 
-    C0 = 4 J^2/(kappa_a kappa_b) is the cooperativity of the coupling.
-    This is the zero-frequency divergence of the coupled static response
-    and the only bound checked here, so ``stable`` does not mean that the
-    drift has no growing eigenvalue: at the anticrossing the
-    finite-frequency pair-oscillation threshold :func:`pair_threshold` can
-    be lower, and between the two the pair self-oscillates.
+    C0 = 4 J^2/(kappa_a kappa_b) is the cooperativity of the coupling. At
+    zero detunings the denominator of :func:`double_mode_gain_bare`
+    factors as [(A - g)B + J^2][(A + g)B + J^2], A = kappa_a/2 - iw,
+    B = kappa_b/2 - iw, and the Routh-Hurwitz conditions on the first
+    factor are the two bounds: the zero-frequency divergence
+    kappa_a (1 + C0)/2 and the finite-frequency pair bound
+    :func:`pair_threshold`. Below their minimum no eigenvalue of
+    :func:`bare_drift` at zero detunings grows; at or above it, one does.
+    Detuned working points may self-oscillate below it (the regime map
+    decides those from its poles).
     """
-    stab = _double_stability(system.mode_a.kappa, system.mode_b.kappa, system.J, g)
+    a, b = system.mode_a, system.mode_b
+    stab = _double_stability(a.kappa_e, a.kappa_i, b.kappa_e, b.kappa_i, system.J, g)
     return DoubleModeStability(**{name: v.item() if np.ndim(v) == 0 else v
                                   for name, v in vars(stab).items()})
 
 
-def _double_stability(kappa_a, kappa_b, J, g) -> DoubleModeStability:
+def _double_stability(kappa_ae, kappa_ai, kappa_be, kappa_bi, J, g) -> DoubleModeStability:
     """:func:`stability_double` at rate level, with numpy fields; arguments
-    broadcast. Raises NonPhysical at the first threshold that overflows."""
+    broadcast. Raises NonPhysical where C0 or its bound overflows."""
+    kappa_a, kappa_b = kappa_ae + kappa_ai, kappa_be + kappa_bi
+
     def overflow(values):
         bad = np.flatnonzero(~np.isfinite(values[1]))[0]
         j, ka, kb = (v.flat[bad] for v in np.broadcast_arrays(J, kappa_a, kappa_b))
         return (f"coupled-system threshold overflows: J={j:g} rad/s against "
                 f"kappa_a={ka:g}, kappa_b={kb:g} rad/s")
 
-    def thresholds():
+    def c0_bound():
         c0 = 4.0 * _squares(J) / (kappa_a * kappa_b)
         return c0, kappa_a * (1.0 + c0) / 2.0
 
-    c0, threshold = _finite(thresholds, overflow)
+    c0, bound = _finite(c0_bound, overflow)
+    threshold = np.minimum(bound, _pair_threshold(kappa_ae, kappa_ai, kappa_be, kappa_bi))
     return DoubleModeStability(
         stable=abs(g) < threshold, cooperativity=c0, threshold=threshold,
         margin=threshold - abs(g),
@@ -176,6 +185,14 @@ def _require_stable(stab, g) -> None:
     raise UnstableRegime(
         f"g={g:g} rad/s is at or above the {where}{threshold:g} rad/s"
     )
+
+
+def _overflows(what: str, **rates) -> str:
+    """'<what> overflows (<name> up to <max |rate|> rad/s)', naming the
+    largest of ``rates``, each a scalar or an array."""
+    size = {name: np.max(np.abs(rate)) for name, rate in rates.items()}
+    name = max(size, key=size.get)
+    return f"{what} overflows ({name} up to {size[name]:g} rad/s)"
 
 
 def _require_no_pole(den, scale, w, what: str) -> None:
@@ -278,10 +295,8 @@ def _single_mode_signal(kappa, eta, g, delta, grid):
     except OverflowError:
         finite = False
     if not finite:
-        size = {name: np.max(np.abs(rate)) for name, rate in
-                (("kappa", kappa), ("g", g), ("delta", delta), ("omega", w))}
-        name = max(size, key=size.get)
-        raise NonPhysical(f"gain denominator overflows ({name} up to {size[name]:g} rad/s)")
+        raise NonPhysical(_overflows("gain denominator", kappa=kappa, g=g, delta=delta,
+                                     omega=w))
     den = delta**2 - g**2 + (iw - kappa / 2.0) ** 2
     # the absolute 1e-300 keeps the scan where squares are subnormal and
     # round by more than their relative error
@@ -423,24 +438,26 @@ def _hybrid_rates(kappa_ae, kappa_ai, kappa_be, kappa_bi):
 
 
 def pair_threshold(system: CoupledSystem) -> float:
-    """Oscillation threshold of the non-degenerate collective-mode pair at
-    the anticrossing, in bare pump-rate units [rad/s].
+    """Pair bound of the coupled-pair threshold, in bare pump-rate units
+    [rad/s]: g = (kappa_a + kappa_b)/2 = sqrt(kappa_+ kappa_-).
 
     The pair process carries half the bare parametric rate (the pumped
-    mode is an equal superposition of the two collective modes), so the
-    pair self-oscillates at g/2 = sqrt(kappa_+ kappa_-)/2, i.e.
-    g = sqrt(kappa_+ kappa_-). At the anticrossing this finite-frequency
-    threshold is the binding one whenever it lies below the
-    zero-frequency bound of :func:`stability_double`.
+    mode is an equal superposition of the two collective modes, whose
+    damping kappa_+ = kappa_- is the mean of the bare ones), so the pair
+    self-oscillates at g/2 = sqrt(kappa_+ kappa_-)/2. This finite-frequency
+    bound binds in :func:`stability_double` whenever it lies below the
+    zero-frequency bound kappa_a (1 + C0)/2.
     """
     a, b = system.mode_a, system.mode_b
     return float(_pair_threshold(a.kappa_e, a.kappa_i, b.kappa_e, b.kappa_i))
 
 
 def _pair_threshold(kappa_ae, kappa_ai, kappa_be, kappa_bi):
-    """:func:`pair_threshold` at rate level; arguments broadcast."""
-    kpe, kpi, kme, kmi = _hybrid_rates(kappa_ae, kappa_ai, kappa_be, kappa_bi)
-    return np.sqrt((kpe + kpi) * (kme + kmi))
+    """:func:`pair_threshold` at rate level; arguments broadcast. As
+    kappa_+ = kappa_-, kappa_+ is sqrt(kappa_+ kappa_-) to the bit, and it
+    stays finite where the product would overflow."""
+    kpe, kpi, _, _ = _hybrid_rates(kappa_ae, kappa_ai, kappa_be, kappa_bi)
+    return kpe + kpi
 
 
 @dataclass(frozen=True, eq=False)
@@ -588,8 +605,9 @@ def _bare_factors(kappa_a, kappa_b, kappa_ae, kappa_be, J, g, delta_a,
         return am, bm, bp, upper, den, scale
 
     # a non-finite am, bm, bp or upper makes den or scale non-finite too
-    am, bm, bp, upper, den, scale = _finite(
-        kernel, lambda _: f"bare gain denominator overflows (J up to {np.max(J):g} rad/s)")
+    am, bm, bp, upper, den, scale = _finite(kernel, lambda _: _overflows(
+        "bare gain denominator", kappa_a=kappa_a, kappa_b=kappa_b, J=J, g=g,
+        delta_a=delta_a, delta_b=delta_b, omega=w))
     _require_no_pole(den, scale, w, "bare gain")
     cross = g * J * np.exp(1j * phi_p) * np.sqrt(kappa_ae * kappa_be)
     signal_a = kappa_ae * bm * upper / den - 1.0

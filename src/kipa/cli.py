@@ -95,7 +95,7 @@ def _pump_g(args, threshold, omega0: float) -> float:
     """Pump rate [rad/s] from --g-hz, from --g-over-threshold as a fraction
     of ``threshold`` [rad/s], or from the config pump driving a mode at
     ``omega0``. Single-mode commands pass kappa/2, coupled-pair commands
-    the collective-pair threshold sqrt(kappa_+ kappa_-)."""
+    the pair's threshold min(kappa_a (1 + C0), kappa_a + kappa_b)/2."""
     if args.g_hz is not None:
         return hz_to_angular(args.g_hz)
     if getattr(args, "g_over_threshold", None) is not None:
@@ -192,7 +192,8 @@ def cmd_double_gain(args) -> int:
 
     cfg = args._config
     system = _anticrossing_system(cfg)
-    g = _pump_g(args, ampcore.pair_threshold(system), system.mode_a.omega0)
+    g = _pump_g(args, ampcore.stability_double(system, 0.0).threshold,
+                system.mode_a.omega0)
     if args.span_hz is not None:
         half = hz_to_angular(args.span_hz) / 2.0
     else:
@@ -227,7 +228,8 @@ def cmd_regime_map(args) -> int:
 
     cfg = args._config
     system = _anticrossing_system(cfg)
-    g = _pump_g(args, ampcore.pair_threshold(system), system.mode_a.omega0)
+    g = _pump_g(args, ampcore.stability_double(system, 0.0).threshold,
+                system.mode_a.omega0)
     center = system.mode_a.omega0 + system.mode_b.omega0
     if args.pump_span_hz is not None:
         half = hz_to_angular(args.pump_span_hz) / 2.0

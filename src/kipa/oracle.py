@@ -389,8 +389,8 @@ def transfer_equivalence(draws: int, seed: int) -> dict:
     transfer-matrix solve over seeded random draws.
 
     The single-mode draws are stable. The pair draws keep g below 0.9 of
-    the coupled-system (C0) bound and of the collective-pair bound; that
-    does not exclude a growing drift eigenvalue, so some pair draws
+    the pair's threshold (:func:`kipa.ampcore.stability_double`), which is
+    exact at zero detunings only; the draws are detuned, so some
     self-oscillate, and there both routes evaluate the same rational M(w),
     which is then no steady state.
 
@@ -427,9 +427,7 @@ def transfer_equivalence(draws: int, seed: int) -> dict:
     phi_p = uniform(0.0, TWO_PI)
     omega = uniform(-3.0, 3.0) * kappa
 
-    # coupled pair; the pump rate stays below both the coupled-system
-    # threshold and the collective-pair threshold so that no
-    # real-frequency pole can sit on the sampled axis
+    # coupled pair; the pump rate stays below the pair's threshold
     modes = []
     for _ in range(2):
         mode_e = TWO_PI * log_uniform(5.0, 8.0)
@@ -438,10 +436,8 @@ def transfer_equivalence(draws: int, seed: int) -> dict:
     (kappa_ae, kappa_ai), (kappa_be, kappa_bi) = modes
     kappa_a, kappa_b = kappa_ae + kappa_ai, kappa_be + kappa_bi
     J = kappa_a * log_uniform(-0.5, 1.5)
-    pair = ampcore._double_stability(kappa_a, kappa_b, J, 0.0)
-    g_cap = np.minimum(pair.threshold,
-                       ampcore._pair_threshold(kappa_ae, kappa_ai, kappa_be, kappa_bi))
-    g2 = uniform(0.0, 0.9) * g_cap
+    pair = ampcore._double_stability(kappa_ae, kappa_ai, kappa_be, kappa_bi, J, 0.0)
+    g2 = uniform(0.0, 0.9) * pair.threshold
     delta_a = uniform(-2.0, 2.0) * kappa_a
     delta_b = uniform(-2.0, 2.0) * kappa_b
     phi_p2 = uniform(0.0, TWO_PI)

@@ -71,13 +71,16 @@ class TestStabilityDouble:
                 stability_double(system, 0.0)
 
     def test_zero_frequency_divergence_matches_threshold(self):
-        # the static coupled response diverges exactly at the threshold
+        # the static coupled response diverges exactly at the C0 bound,
+        # which lies above the pair bound here, so the latter binds
         system = make_pair(kappa_a_hz=1.7e6, kappa_b_hz=0.6e6,
                            j_over_kappa=1.3, eta_a=0.8, eta_b=0.7)
-        threshold = stability_double(system, 0.0).threshold
         a, b, J = system.mode_a, system.mode_b, system.J
-        den = (a.kappa * b.kappa / 4 + J**2) ** 2 - threshold**2 * b.kappa**2 / 4
+        report = stability_double(system, 0.0)
+        c0_bound = a.kappa * (1 + report.cooperativity) / 2
+        den = (a.kappa * b.kappa / 4 + J**2) ** 2 - c0_bound**2 * b.kappa**2 / 4
         assert abs(den) < 1e-6 * (a.kappa * b.kappa / 4 + J**2) ** 2
+        assert report.threshold == pair_threshold(system) < c0_bound
 
     def test_array_of_pump_rates(self):
         system = make_pair(j_over_kappa=2.0)
@@ -103,12 +106,12 @@ class TestStabilityDouble:
         growth = np.linalg.eigvals(bare_drift(system, g)).real.max() / a.kappa
         assert growth == pytest.approx(0.0217, abs=1e-4)
 
-    @pytest.mark.xfail(strict=True, reason="stability_double checks only the "
-                       "zero-frequency C0 bound, not the pair's growing eigenvalue")
     def test_self_oscillating_pair_is_not_stable(self):
-        """The drift above has an eigenvalue with Re = +0.0217 kappa_a, yet
-        g lies below the C0 bound, so stability_double reports it stable."""
-        assert not stability_double(self.README_PAIR, self.README_G).stable
+        """The drift above has an eigenvalue with Re = +0.0217 kappa_a: g
+        lies below the C0 bound but above the pair bound, which binds."""
+        report = stability_double(self.README_PAIR, self.README_G)
+        assert not report.stable
+        assert report.threshold == pair_threshold(self.README_PAIR)
 
 
 class TestHybridize:
@@ -271,19 +274,21 @@ class TestBareGains:
             double_mode_gain_bare(system, g, 0.0, 0.0, 0.0, [0.0])
 
     def test_real_axis_pole_reported(self):
-        # between the pair-oscillation point and the static threshold the
-        # response has real-frequency poles; evaluation exactly there is
-        # refused rather than returned as infinity
+        # at the pair bound g = kappa the response has real-frequency poles;
+        # at the largest pump rate below it they lie within rounding of the
+        # real axis, and evaluation there is refused rather than returned
+        # as a huge gain
         from kipa import PoleAtFrequency
 
         system = make_pair(j_over_kappa=10.0)
         kappa = system.mode_a.kappa
-        assert stability_double(system, kappa).stable
+        g = math.nextafter(stability_double(system, 0.0).threshold, 0.0)
+        assert stability_double(system, g).stable
         pole = math.sqrt(4 * system.J**2 - kappa**2) / 2
         with pytest.raises(PoleAtFrequency):
-            double_mode_gain_bare(system, kappa, 0.0, 0.0, 0.0, [pole])
+            double_mode_gain_bare(system, g, 0.0, 0.0, 0.0, [pole])
         with pytest.raises(PoleAtFrequency):
-            double_mode_gain_hybrid(system, kappa, 0.0, 0.0, [system.J])
+            double_mode_gain_hybrid(system, g, 0.0, 0.0, [system.J])
 
 
 class TestPumpRegimeMap:

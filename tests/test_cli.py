@@ -373,6 +373,45 @@ class TestStabilityAndNoise:
         assert err.startswith(f"kipa: {message}")
         assert "Warning" not in err
 
+    @pytest.mark.parametrize("section, key, value, culprit", [
+        ("ring", "kappa_i_hz", 1e300, "kappa_a up to 6.28319e+300"),
+        ("auxiliary", "kappa_e_hz", 1.9e172, "kappa_b up to 1.19381e+173"),
+    ])
+    def test_huge_damping_is_named(self, capsys, tmp_path, section, key, value,
+                                   culprit):
+        # the pair bound is a sum, so stability reports finite thresholds;
+        # the bare gain denominator overflows and names the largest rate
+        doc = json.loads(json.dumps(DEVICE))
+        doc[section][key] = value
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["stability", "--config", str(path)])
+        assert (code, err) == (0, "")
+        values = [v["value"] for v in json.loads(out)["outputs"].values()]
+        assert all(math.isfinite(v) for v in values)
+        code, out, err = run_cli(capsys, ["double-gain", "--config", str(path),
+                                          "--span-hz", "1e6"])
+        assert (code, out, err) == (
+            3, "", f"kipa: bare gain denominator overflows ({culprit} rad/s)\n")
+        # the default span reaches 3 kappa, and then omega is the largest
+        code, out, err = run_cli(capsys, ["double-gain", "--config", str(path)])
+        assert (code, out) == (3, "")
+        assert err.startswith("kipa: bare gain denominator overflows (omega up to")
+
+    def test_pair_between_the_two_bounds_is_refused(self, capsys, config_path):
+        # g = 24 MHz lies above the pair bound (23 MHz) and below the C0
+        # bound (51.7 MHz): the pair self-oscillates
+        code, out, _ = run_cli(capsys, ["stability", "--config", config_path,
+                                        "--g-hz", "2.4e7"])
+        assert code == 0
+        outputs = json.loads(out)["outputs"]
+        assert outputs["double_stable"]["value"] is False
+        assert outputs["double_threshold_hz"]["value"] == pytest.approx(23e6, rel=1e-12)
+        code, out, err = run_cli(capsys, ["double-gain", "--config", config_path,
+                                          "--g-hz", "2.4e7"])
+        assert (code, out) == (3, "")
+        assert "coupled-system threshold" in err
+
     def test_overflowing_thermal_occupancy_is_numeric_error(self, capsys):
         code, out, err = run_cli(capsys, [
             "noise", "--f-hz", "1e-300", "--eta", "0.9", "--g-k", "1e300",

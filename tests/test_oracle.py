@@ -24,7 +24,6 @@ from kipa import (
     double_mode_matrices,
     make_run,
     matrix_transfer,
-    pair_threshold,
     phase_sensitive_gain,
     single_mode_gain,
     single_mode_matrices,
@@ -143,8 +142,8 @@ def draw_single_case(rng: SplitMix64) -> SingleModeCase:
 
 
 def draw_double_case(rng: SplitMix64) -> DoubleModeCase:
-    """Random stable coupled-pair working point, the pump rate below both
-    the coupled-system and the collective-pair threshold."""
+    """Random coupled-pair working point, the pump rate below the pair's
+    threshold."""
     def mode() -> ResonatorParams:
         kappa_e = 2.0 * math.pi * 10.0 ** rng.uniform(5.0, 8.0)
         return ResonatorParams(
@@ -156,10 +155,9 @@ def draw_double_case(rng: SplitMix64) -> DoubleModeCase:
     mode_a, mode_b = mode(), mode()
     J = mode_a.kappa * 10.0 ** rng.uniform(-0.5, 1.5)
     system = CoupledSystem(mode_a=mode_a, mode_b=mode_b, J=J)
-    g_cap = min(stability_double(system, 0.0).threshold, pair_threshold(system))
     return DoubleModeCase(
         system=system,
-        g=rng.uniform(0.0, 0.9) * g_cap,
+        g=rng.uniform(0.0, 0.9) * stability_double(system, 0.0).threshold,
         delta_a=rng.uniform(-2.0, 2.0) * mode_a.kappa,
         delta_b=rng.uniform(-2.0, 2.0) * mode_b.kappa,
         phi_p=rng.uniform(0.0, 2.0 * math.pi),

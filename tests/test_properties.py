@@ -20,6 +20,7 @@ from kipa import (
     double_mode_gain_bare,
     find_peaks_db,
     on_resonance_gain,
+    pair_threshold,
     phase_sensitive_gain,
     single_mode_gain,
     stability_double,
@@ -114,7 +115,7 @@ def test_hybrid_lossless_gain_difference_identity():
     # |G_I|^2 = |G_S|^2 - 1 holds for both collective modes when lossless
     import warnings
 
-    from kipa import RWAViolation, double_mode_gain_hybrid, pair_threshold
+    from kipa import RWAViolation, double_mode_gain_hybrid
 
     rng = np.random.default_rng(108)
     for _ in range(100):
@@ -136,16 +137,43 @@ def test_hybrid_lossless_gain_difference_identity():
 
 
 def test_double_threshold_scales_with_cooperativity():
+    # the C0 bound grows with J until the pair bound (kappa_a + kappa_b)/2
+    # caps it
     rng = np.random.default_rng(107)
     for _ in range(40):
         mode_a = random_resonator(rng)
         mode_b = random_resonator(rng)
-        j_small = CoupledSystem(mode_a, mode_b, J=0.1 * mode_a.kappa)
-        j_large = CoupledSystem(mode_a, mode_b, J=3.0 * mode_a.kappa)
-        assert stability_double(j_large, 0.0).threshold > stability_double(
-            j_small, 0.0
-        ).threshold
-        assert stability_double(j_small, 0.0).threshold >= mode_a.kappa / 2
+        cap = pair_threshold(CoupledSystem(mode_a, mode_b, J=0.0))
+        assert cap == pytest.approx((mode_a.kappa + mode_b.kappa) / 2, rel=1e-15)
+        thresholds = [stability_double(CoupledSystem(mode_a, mode_b, J=j * mode_a.kappa),
+                                       0.0).threshold
+                      for j in (0.0, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0)]
+        assert thresholds == sorted(thresholds)
+        assert thresholds[0] == mode_a.kappa / 2
+        assert thresholds[-1] <= cap
+
+
+def test_pair_threshold_matches_drift_eigenvalues():
+    # stability_double is exact at the anticrossing: just below its
+    # threshold no eigenvalue of the drift grows, just above one does, and
+    # each of the two bounds binds on some draws
+    rng = np.random.default_rng(109)
+    binds = {"c0": 0, "pair": 0}
+    for _ in range(600):
+        mode_a = random_resonator(rng)
+        mode_b = random_resonator(rng)
+        assert mode_a.kappa != mode_b.kappa
+        assert mode_a.kappa_e / mode_a.kappa != mode_b.kappa_e / mode_b.kappa
+        system = CoupledSystem(mode_a, mode_b,
+                               J=10 ** rng.uniform(math.log10(0.03), math.log10(30.0))
+                               * mode_a.kappa)
+        report = stability_double(system, 0.0)
+        binds["pair" if report.threshold == pair_threshold(system) else "c0"] += 1
+        for factor in (1 - 1e-7, 1 + 1e-7):
+            g = factor * report.threshold
+            growth = np.linalg.eigvals(ampcore.bare_drift(system, g)).real.max()
+            assert stability_double(system, g).stable == (growth < 0), (system, factor)
+    assert min(binds.values()) > 50, binds
 
 
 def drawn_pair(kappa_hz, kb_over_ka, eta_a, eta_b, j_over_kappa):
