@@ -148,7 +148,9 @@ def _double_stability(kappa_ae, kappa_ai, kappa_be, kappa_bi, J, g) -> DoubleMod
                 f"kappa_a={ka:g}, kappa_b={kb:g} rad/s")
 
     def c0_bound():
-        c0 = 4.0 * _squares(J) / (kappa_a * kappa_b)
+        square, product = 4.0 * _squares(J), kappa_a * kappa_b
+        # past an overflowing product C0 may still be representable
+        c0 = np.where(np.isfinite(product), square / product, square / kappa_a / kappa_b)
         return c0, kappa_a * (1.0 + c0) / 2.0
 
     c0, bound = _finite(c0_bound, overflow)

@@ -1,14 +1,13 @@
 """Parameter extraction by least squares.
 
 The optimizer is a damped (Levenberg-Marquardt style) least-squares
-iteration: dependency-free and reproducible. The reflection and
-gain-profile fits pass it the exact Jacobian of their model, one kernel
-evaluation and a few array operations per iteration; the noise and
-Lorentzian fits use a forward-difference Jacobian. Damping uses
-Marquardt diagonal scaling with a trust factor of x0.5 on an accepted
-step and x2 on a rejected one; convergence requires a relative
-parameter change below 1e-10 or a relative residual change below 1e-12,
-capped at 200 iterations.
+iteration: dependency-free and reproducible. Each of its four fits
+(reflection, gain profile, noise temperature, Lorentzian) passes it the
+exact Jacobian of its model, a few array operations per iteration; no
+finite difference remains. Damping uses Marquardt diagonal scaling with
+a trust factor of x0.5 on an accepted step and x2 on a rejected one;
+convergence requires a relative parameter change below 1e-10 or a
+relative residual change below 1e-12, capped at 200 iterations.
 
 Traces and fitted parameters live in Hz / ampere / kelvin (measurement
 units); conversion to internal angular units happens inside the model
@@ -60,43 +59,23 @@ class FitResult:
 _MAX_ITER = 200
 _PARAM_TOL = 1e-10
 _RESID_TOL = 1e-12
-_JACOBIAN_STEP = 1e-6
 # what a model raises at a point it cannot evaluate: an infeasible trial point
 _INFEASIBLE = (ValueError, NonPhysical, PoleAtFrequency, UnstableRegime)
 
 
-def _jacobian(residual_fn, p, r0, scale):
-    # step on each parameter's variation scale, not its magnitude: an
-    # absolute frequency is huge while its meaningful changes are not
-    m, n = len(r0), len(p)
-    J = np.empty((m, n))
-    for j in range(n):
-        h = _JACOBIAN_STEP * scale[j]
-        trial = p.copy()
-        trial[j] += h
-        try:
-            r1 = residual_fn(trial)
-        except _INFEASIBLE:
-            trial[j] = p[j] - h
-            r1 = residual_fn(trial)
-            h = -h
-        J[:, j] = (np.asarray(r1) - r0) / h
-    return J
-
-
-def damped_least_squares(residual_fn, p0, scale, *, overflow, jacobian=None):
+def damped_least_squares(residual_fn, p0, scale, *, overflow, jacobian):
     """Minimize sum(residual_fn(p)^2) from p0; each parameter varies on its
-    ``scale``. ``jacobian(p)``, if given, returns the (m, n) Jacobian of
-    the residuals at a point where residual_fn has been evaluated;
-    otherwise a forward difference on each parameter's scale stands in. A
-    trial point where residual_fn raises one of ``_INFEASIBLE`` or gives a
-    cost that is not finite is a rejected step. At p0 the error
-    propagates, and such a cost raises NonPhysical(overflow), a message or
-    a callable as :func:`errors.finite_or_nonphysical` takes. Returns
-    (p, iterations, residuals). Raises IllConditioned if the Jacobian is
-    rank-deficient at the start or a step's damped normal matrix is
-    singular, NotConverged at the iteration cap and NonPhysical where the
-    normal equations overflow.
+    ``scale``. ``jacobian(p)`` returns the exact (m, n) Jacobian of the
+    residuals at a point where residual_fn has been evaluated; no finite
+    difference stands in for it. A trial point where residual_fn raises
+    one of ``_INFEASIBLE`` or gives a cost that is not finite is a
+    rejected step. At p0 the error propagates, and such a cost raises
+    NonPhysical(overflow), a message or a callable as
+    :func:`errors.finite_or_nonphysical` takes. Returns (p, iterations,
+    residuals). Raises IllConditioned if the Jacobian is rank-deficient at
+    the start or a step's damped normal matrix is singular, NotConverged
+    at the iteration cap and NonPhysical where the normal equations
+    overflow.
     """
     p = np.array(p0, dtype=float)
     scale = np.asarray(scale, dtype=float)
@@ -107,17 +86,17 @@ def damped_least_squares(residual_fn, p0, scale, *, overflow, jacobian=None):
     step_overflow = f"least-squares step overflows (parameter scales down to {np.min(scale):g})"
     # one guard over the iterations: numpy's warnings stay off, so a trial
     # point that overflows is a rejected step, not a warning
-    return _finite(lambda: _iterate(residual_fn, p, r, ssr, scale, step_overflow, jacobian),
+    return _finite(lambda: _iterate(residual_fn, jacobian, p, r, ssr, scale, step_overflow),
                    step_overflow)
 
 
-def _iterate(residual_fn, p, r, ssr, scale, overflow, jacobian=None):
+def _iterate(residual_fn, jacobian, p, r, ssr, scale, overflow):
     """:func:`damped_least_squares` from p, its residuals r and their sum
     of squares ssr; NonPhysical(overflow) where J^T J is not finite."""
     n = len(p)
     lam = 1e-3
     for iteration in range(1, _MAX_ITER + 1):
-        J = _jacobian(residual_fn, p, r, scale) if jacobian is None else jacobian(p)
+        J = jacobian(p)
         # finite normal equations imply a finite J, as the rank check's SVD needs
         JtJ, Jtr = _finite(lambda: (J.T @ J, J.T @ r), overflow)
         if iteration == 1 and np.linalg.matrix_rank(J) < n:
@@ -168,14 +147,14 @@ def _iterate(residual_fn, p, r, ssr, scale, overflow, jacobian=None):
     raise NotConverged(f"iteration cap {_MAX_ITER} reached")
 
 
-def _result(residual_fn, p, iterations, r, scale, names, jacobian=None):
+def _result(jacobian, p, iterations, r, names):
     """FitResult at the optimum p; sigma is inf where the covariance is
     singular. ``jacobian`` is as :func:`damped_least_squares` takes it."""
     m, n = len(r), len(p)
     ssr = float(r @ r)
 
     def covariance():
-        J = _jacobian(residual_fn, p, r, scale) if jacobian is None else jacobian(p)
+        J = jacobian(p)
         return np.zeros((n, n)) if m <= n else np.linalg.inv(J.T @ J) * (ssr / (m - n))
 
     try:
@@ -319,8 +298,26 @@ def _noise_model(T, g_tot, n_add, omega):
     return g_tot * hbar * omega * (0.5 / np.tanh(x) + n_add)
 
 
+def _noise_jacobian(T, g_tot, n_add, omega):
+    """Exact Jacobian of :func:`_noise_model` in (g_tot, n_add), shape
+    (m, 2); the model is linear in each."""
+    quantum = hbar * omega
+    column = quantum * (0.5 / np.tanh(quantum / (2.0 * k_B * T)) + n_add)
+    return np.column_stack([column, np.full(len(column), g_tot * quantum)])
+
+
 def _lorentzian(f, peak, f0, fwhm, base):
     return (peak - base) / (1.0 + ((np.asarray(f) - f0) / (fwhm / 2.0)) ** 2) + base
+
+
+def _lorentzian_jacobian(f, peak, f0, fwhm, base):
+    """Exact Jacobian of :func:`_lorentzian` in (peak, f0, fwhm, base),
+    shape (m, 4): with u = (f - f0)/(fwhm/2) and L = 1/(1 + u^2), columns
+    L, 4uL^2 (peak - base)/fwhm, 2u^2 L^2 (peak - base)/fwhm and 1 - L."""
+    u = (np.asarray(f) - f0) / (fwhm / 2.0)
+    lor = 1.0 / (1.0 + u**2)
+    slope = 2.0 * u * lor**2 * (peak - base) / fwhm
+    return np.column_stack([lor, 2.0 * slope, u * slope, 1.0 - lor])
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +387,7 @@ def fit_reflection(trace: Trace) -> FitResult:
     names = ("f0_hz", "kappa_e_hz", "kappa_i_hz")
     p, iterations, r = damped_least_squares(residuals, p0, scale=scale, overflow=overflow,
                                             jacobian=jacobian)
-    return _result(residuals, p, iterations, r, scale, names, jacobian)
+    return _result(jacobian, p, iterations, r, names)
 
 
 def fit_bias_sweep(trace: Trace) -> FitResult:
@@ -657,14 +654,14 @@ def fit_gain_profile(trace: Trace, kappa_hint: float | None = None) -> FitResult
         p, iterations, r = damped_least_squares(residuals, p0, scale=scale,
                                                 overflow=no_finite_start,
                                                 jacobian=jacobian)
-        return float(r @ r), (p, iterations, r, scale)
+        return float(r @ r), (p, iterations, r)
 
     # one guard over the whole ranking: a cost that overflows is infinite, not a warning
     candidates = _finite(ranked_starts, no_finite_start)
     names = ("g_hz", "kappa_e_hz", "kappa_i_hz", "f_center_hz")
-    p, iterations, r, scale = _refine_ranked(candidates, refine)
+    p, iterations, r = _refine_ranked(candidates, refine)
     p[0] = abs(p[0])  # the profile is even in g; report the magnitude
-    result = _result(residuals, p, iterations, r, scale, names, jacobian)
+    result = _result(jacobian, p, iterations, r, names)
     kappa = result.params["kappa_e_hz"] + result.params["kappa_i_hz"]
     if result.params["g_hz"] >= kappa / 2.0 * (1.0 - 1e-9):
         raise UnstableFit(
@@ -712,9 +709,13 @@ def fit_noise_temperature(trace: Trace, omega: float) -> FitResult:
     def residuals(p):
         return _noise_model(T, p[0], p[1], omega) - y
 
+    def jacobian(p):
+        return _noise_jacobian(T, p[0], p[1], omega)
+
     names = ("g_tot", "n_add")
-    p, iterations, r = damped_least_squares(residuals, p0, scale=scale, overflow=overflow)
-    result = _result(residuals, p, iterations, r, scale, names)
+    p, iterations, r = damped_least_squares(residuals, p0, scale=scale, overflow=overflow,
+                                            jacobian=jacobian)
+    result = _result(jacobian, p, iterations, r, names)
     n_add = result.params["n_add"]
     sigma_n = result.sigma["n_add"]
     if n_add < 0 and (sigma_n == 0.0 or n_add < -3.0 * sigma_n):
@@ -754,7 +755,11 @@ def fit_lorentzian(trace: Trace) -> FitResult:
             raise ValueError("fwhm must stay positive")
         return _lorentzian(f, p[0], p[1], p[2], p[3]) - y_lin
 
+    def jacobian(p):
+        return _lorentzian_jacobian(f, *p)
+
     names = ("peak_lin", "f_peak_hz", "fwhm_hz", "baseline_lin")
     p, iterations, r = damped_least_squares(residuals, p0, scale=scale, overflow=lambda _: (
-        f"Lorentzian fit overflows at its start (gain up to {np.max(y_db):g} dB)"))
-    return _result(residuals, p, iterations, r, scale, names)
+        f"Lorentzian fit overflows at its start (gain up to {np.max(y_db):g} dB)"),
+        jacobian=jacobian)
+    return _result(jacobian, p, iterations, r, names)

@@ -339,9 +339,14 @@ def fit_grid(kappa_hz, rows, shift):
     return 7.0e9 + kappa_hz * np.linspace(-4.0, 4.0, rows), 7.0e9 + shift * kappa_hz
 
 
+# the calibration benchmark's noise sweeps: 31 source temperatures, chain
+# gains 1e6-1e11 and added noise 0.5-3 quanta at 6.5-7.8 GHz
+_NOISE_TEMPS = np.linspace(0.05, 1.0, 31)
+
+
 class TestExactJacobians:
-    """The gain-profile and reflection fits take the closed-form Jacobian
-    of their model and never a finite difference."""
+    """The four least-squares fits take the closed-form Jacobian of their
+    model; no finite difference remains."""
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     # g = 0 exactly, or at least 1e-3 of threshold: below that the g column
@@ -377,18 +382,45 @@ class TestExactJacobians:
         reference = richardson_columns(residuals, p, [1e-3 * kappa_hz] * 3)
         assert_columns_match(calfit._reflection_jacobian(f, *p), reference)
 
-    @pytest.fixture
-    def no_finite_differences(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("finite-difference Jacobian evaluated")
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    # the Lorentzians that gbp fits on the calibration benchmark's gain
+    # traces: peak 8-1000 over a baseline near 1, FWHM 0.03-0.2 kappa on a
+    # grid of +-3 kappa around 6.5-7.8 GHz
+    @given(kappa_hz=st.floats(7.0, math.log10(4e7)).map(lambda e: 10.0**e),
+           f0=st.floats(6.5e9, 7.8e9), width=st.floats(0.03, 0.2),
+           peak=st.floats(math.log10(8.0), 3.0).map(lambda e: 10.0**e),
+           base=st.floats(0.8, 1.0), shift=st.floats(-1.0, 1.0), rows=_ROWS)
+    def test_lorentzian_jacobian_matches_central_differences(self, kappa_hz, f0, width,
+                                                             peak, base, shift, rows):
+        f = f0 + kappa_hz * np.linspace(-3.0, 3.0, rows)
+        fwhm = width * kappa_hz
+        p = np.array([peak, f0 + shift * fwhm, fwhm, base])
+        reference = richardson_columns(lambda q: calfit._lorentzian(f, *q), p,
+                                       [1e-3 * peak, 1e-3 * fwhm, 1e-3 * fwhm, 1e-3])
+        assert_columns_match(calfit._lorentzian_jacobian(f, *p), reference)
 
-        monkeypatch.setattr(calfit, "_jacobian", forbidden)
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(f_hz=st.floats(6.5e9, 7.8e9), g_tot=st.floats(6.0, 11.0).map(lambda e: 10.0**e),
+           n_add=st.floats(0.5, 3.0))
+    def test_noise_jacobian_matches_central_differences(self, f_hz, g_tot, n_add):
+        omega = 2 * math.pi * f_hz
+        p = np.array([g_tot, n_add])
+        reference = richardson_columns(lambda q: calfit._noise_model(_NOISE_TEMPS, *q, omega),
+                                       p, [1e-3 * g_tot, 1e-3])
+        assert_columns_match(calfit._noise_jacobian(_NOISE_TEMPS, *p, omega), reference)
 
     FITS = {
         "gain": (lambda: gain_trace(7.0e9, 10e6, 25e6, 5e6, points=801),
                  fit_gain_profile, "_gain_model_db", "_gain_jacobian"),
         "reflection": (lambda: reflection_trace(7.155e9, 19e6, 4e6, points=801),
                        fit_reflection, "_reflection_model", "_reflection_jacobian"),
+        "noise": (lambda: noise_trace(1e8, 0.82, 2 * math.pi * 7.155e9, _NOISE_TEMPS,
+                                      noise_frac=0.01, rng=np.random.default_rng(30)),
+                  lambda trace: fit_noise_temperature(trace, 2 * math.pi * 7.155e9),
+                  "_noise_model", "_noise_jacobian"),
+        # a gain profile is no Lorentzian: the fit takes several steps
+        "lorentzian": (lambda: gain_trace(7.0e9, 13.5e6, 25e6, 5e6, points=801),
+                       fit_lorentzian, "_lorentzian", "_lorentzian_jacobian"),
     }
 
     def test_zero_rate_start_is_rank_deficient(self):
@@ -402,7 +434,7 @@ class TestExactJacobians:
             fit_gain_profile(Trace(x=f, y=np.zeros(801), kind="gain_db"))
 
     @pytest.mark.parametrize("fit", FITS)
-    def test_fits_take_no_finite_differences(self, no_finite_differences, fit):
+    def test_fits_take_no_finite_differences(self, fit):
         make_trace, fit_fn, _, _ = self.FITS[fit]
         result = fit_fn(make_trace())
         assert result.iterations > 0
@@ -410,8 +442,7 @@ class TestExactJacobians:
 
     @pytest.mark.parametrize("error", calfit._INFEASIBLE)
     @pytest.mark.parametrize("fit", FITS)
-    def test_refused_start_keeps_its_type(self, monkeypatch, no_finite_differences,
-                                          fit, error):
+    def test_refused_start_keeps_its_type(self, monkeypatch, fit, error):
         make_trace, fit_fn, model, _ = self.FITS[fit]
 
         def refused(*args):
@@ -424,8 +455,7 @@ class TestExactJacobians:
 
     @pytest.mark.parametrize("error", calfit._INFEASIBLE)
     @pytest.mark.parametrize("fit", FITS)
-    def test_refused_trial_points_are_rejected_steps(self, monkeypatch,
-                                                     no_finite_differences, fit, error):
+    def test_refused_trial_points_are_rejected_steps(self, monkeypatch, fit, error):
         # once a refinement takes its first Jacobian, the model refuses every
         # other trial point: the fit must step around them to the same optimum
         make_trace, fit_fn, model_name, jacobian_name = self.FITS[fit]
@@ -957,7 +987,8 @@ class TestOptimizerCore:
             return np.array([p[0] - 3.0, p[1] + 2.0])
 
         p, iterations, r = damped_least_squares(residuals, [0.0, 0.0], [1.0, 1.0],
-                                                overflow="unused")
+                                                overflow="unused",
+                                                jacobian=lambda p: np.eye(2))
         assert np.allclose(p, [3.0, -2.0])
         assert float(np.dot(r, r)) < 1e-20
 
@@ -973,10 +1004,14 @@ class TestOptimizerCore:
                 raise error("refused trial point")
             return np.array([p[0] - 3.0, 2.0 * (p[1] + 2.0), 0.1 * p[0] * p[1]])
 
+        def jacobian(p):
+            return np.array([[1.0, 0.0], [0.0, 2.0], [0.1 * p[1], 0.1 * p[0]]])
+
         free, _, _ = damped_least_squares(
             lambda p: np.array([p[0] - 3.0, 2.0 * (p[1] + 2.0), 0.1 * p[0] * p[1]]),
-            [1.0, 1.0], [1.0, 1.0], overflow="unused")
-        p, _, _ = damped_least_squares(residuals, [1.0, 1.0], [1.0, 1.0], overflow="unused")
+            [1.0, 1.0], [1.0, 1.0], overflow="unused", jacobian=jacobian)
+        p, _, _ = damped_least_squares(residuals, [1.0, 1.0], [1.0, 1.0], overflow="unused",
+                                       jacobian=jacobian)
         assert np.allclose(p, free, rtol=1e-8)
 
     @pytest.mark.parametrize("error", calfit._INFEASIBLE)
@@ -984,8 +1019,12 @@ class TestOptimizerCore:
         def residuals(p):
             raise error("start cannot be evaluated")
 
+        def jacobian(p):  # no point has residuals, so none has a Jacobian
+            raise AssertionError("Jacobian evaluated")
+
         with pytest.raises(error, match="^start cannot be evaluated$") as info:
-            damped_least_squares(residuals, [1.0, 1.0], [1.0, 1.0], overflow="unused")
+            damped_least_squares(residuals, [1.0, 1.0], [1.0, 1.0], overflow="unused",
+                                 jacobian=jacobian)
         assert type(info.value) is error
 
     @pytest.mark.parametrize("overflow", ["start overflows",
@@ -996,10 +1035,14 @@ class TestOptimizerCore:
         def residuals(p):
             return np.full(4, 1e200) * p[0] + p[1]  # finite, but r @ r overflows
 
+        def jacobian(p):
+            return np.column_stack([np.full(4, 1e200), np.ones(4)])
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonPhysical, match="^start overflows$"):
-                damped_least_squares(residuals, [1.0, 0.0], [1.0, 1.0], overflow=overflow)
+                damped_least_squares(residuals, [1.0, 0.0], [1.0, 1.0], overflow=overflow,
+                                     jacobian=jacobian)
 
     def test_estimator_consistency_across_noise_scales(self):
         # parameter errors scale with the noise amplitude (factor 10 +- 3x)

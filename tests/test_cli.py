@@ -387,8 +387,15 @@ class TestStabilityAndNoise:
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run_cli(capsys, ["stability", "--config", str(path)])
         assert (code, err) == (0, "")
-        values = [v["value"] for v in json.loads(out)["outputs"].values()]
-        assert all(math.isfinite(v) for v in values)
+        outputs = json.loads(out)["outputs"]
+        assert all(math.isfinite(v["value"]) for v in outputs.values())
+        # C0 = 4J^2/(kappa_a kappa_b) is representable even where the product
+        # of the rates overflows, as kappa_a kappa_b does on the ring case
+        kappa_a = doc["ring"]["kappa_e_hz"] + doc["ring"]["kappa_i_hz"]
+        kappa_b = doc["auxiliary"]["kappa_e_hz"] + doc["auxiliary"]["kappa_i_hz"]
+        c0 = 4.0 * doc["j_hz"] ** 2 / kappa_a / kappa_b
+        assert outputs["cooperativity"]["value"] > 0
+        assert outputs["cooperativity"]["value"] == pytest.approx(c0, rel=1e-12, abs=0)
         code, out, err = run_cli(capsys, ["double-gain", "--config", str(path),
                                           "--span-hz", "1e6"])
         assert (code, out, err) == (
